@@ -18,7 +18,6 @@ from repro.core.gfp import gfp
 from repro.core.pdist import pdist_matrix
 from repro.graphs.csr import CSRGraph
 from repro.pprlib.budget import OpBudget
-from repro.pprlib.dpr import supernode_dpr
 
 
 @dataclass

@@ -17,6 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
+# A propagation round whose frontier touches more than this share of the m
+# arcs sweeps the whole arc list instead of gathering the frontier's CSR
+# slices (the sparse/dense switch of Ligra's edgeMap). Chosen from a sweep
+# over 0.05-0.5 on the Twitter and Youtube analogs; see CHANGES.md.
+DENSE_ARC_SHARE = 0.3
+
 
 class CSRGraph:
     """Compressed-sparse-row adjacency with both edge directions.
@@ -54,7 +60,9 @@ class CSRGraph:
         np.add.at(self.rindptr, d[rorder] + 1, 1)
         np.cumsum(self.rindptr, out=self.rindptr)
         self.rindices = s[rorder]
-        self.out_deg = np.diff(self.indptr).astype(np.float64)
+        self._out_count = np.diff(self.indptr)
+        self._in_count = np.diff(self.rindptr)
+        self.out_deg = self._out_count.astype(np.float64)
         self._src_sorted = s
 
     # -- constructors -----------------------------------------------------
@@ -84,7 +92,7 @@ class CSRGraph:
     def out_edges_of(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Concatenated (src-repeated, dst) arcs out of ``nodes`` (batched)."""
         nodes = np.asarray(nodes, dtype=np.int64)
-        counts = (self.indptr[nodes + 1] - self.indptr[nodes]).astype(np.int64)
+        counts = self._out_count[nodes]
         srcs = np.repeat(nodes, counts)
         idx = _slice_concat(self.indptr, nodes, counts)
         return srcs, self.indices[idx]
@@ -92,10 +100,46 @@ class CSRGraph:
     def in_edges_of(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Concatenated (dst-repeated, src) arcs into ``nodes`` (batched)."""
         nodes = np.asarray(nodes, dtype=np.int64)
-        counts = (self.rindptr[nodes + 1] - self.rindptr[nodes]).astype(np.int64)
+        counts = self._in_count[nodes]
         dsts = np.repeat(nodes, counts)
         idx = _slice_concat(self.rindptr, nodes, counts)
         return dsts, self.rindices[idx]
+
+    # -- propagation --------------------------------------------------------
+    def propagate(
+        self, nodes: np.ndarray, vals: np.ndarray, *, reverse: bool = False
+    ) -> tuple[np.ndarray, int]:
+        """One propagation step from ``nodes`` along their arcs.
+
+        Every arc out of ``nodes[i]`` (into it when ``reverse``) carries
+        ``vals[i]`` to its other end. Returns the length-n vector of sums
+        received per node and the number of arcs touched, which is what
+        the push kernels charge as edge operations.
+
+        A frontier touching at most ``DENSE_ARC_SHARE * m`` arcs is
+        expanded through :meth:`out_edges_of` / :meth:`in_edges_of`; a
+        larger one makes one sweep over the whole arc list, where arcs
+        outside the frontier carry zero. Both paths add each receiver's
+        terms in the same order, so they return identical sums when
+        ``nodes`` is sorted and distinct.
+        """
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if reverse:
+            counts, receivers = self._in_count, self.rindices
+        else:
+            counts, receivers = self._out_count, self.indices
+        node_counts = counts[nodes]
+        arcs = int(node_counts.sum())
+        if arcs <= DENSE_ARC_SHARE * self.m:
+            expand = self.in_edges_of if reverse else self.out_edges_of
+            _, receivers = expand(nodes)
+            weights = np.repeat(vals, node_counts)
+        else:
+            per_node = np.bincount(nodes, weights=vals, minlength=self.n)
+            weights = np.repeat(per_node, counts)
+        sums = np.bincount(receivers, weights=weights, minlength=self.n)
+        # bincount returns int64 zeros when no arc is touched
+        return sums.astype(np.float64, copy=False), arcs
 
     # -- dense operators (small graphs only) -------------------------------
     def transition_matrix(self) -> np.ndarray:

@@ -17,6 +17,12 @@ import numpy as np
 from repro.graphs.csr import CSRGraph
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function; exp's argument is capped at 700 so it cannot
+    overflow (e^709 is the float64 limit)."""
+    return 1.0 / (1.0 + np.exp(np.minimum(-x, 700.0)))
+
+
 def _adjacency(g: CSRGraph) -> np.ndarray:
     A = np.zeros((g.n, g.n))
     s, d = g.edge_array()
@@ -163,14 +169,14 @@ def node2vec_lite(
         for lo in range(0, len(perm), 8192):
             b = perm[lo : lo + 8192]
             c, o = centers[b], contexts[b]
-            score = 1.0 / (1.0 + np.exp(-(emb[c] * ctx[o]).sum(1)))
+            score = _sigmoid((emb[c] * ctx[o]).sum(1))
             coef = (score - 1.0)[:, None]
             ge = coef * ctx[o]
             go = coef * emb[c]
             neg = rng.integers(0, n, size=(len(b), n_neg))
             for t in range(n_neg):
                 nt = neg[:, t]
-                sneg = 1.0 / (1.0 + np.exp(-(emb[c] * ctx[nt]).sum(1)))
+                sneg = _sigmoid((emb[c] * ctx[nt]).sum(1))
                 ge += sneg[:, None] * ctx[nt]
                 np.add.at(ctx, nt, -lr * sneg[:, None] * emb[c])
             np.add.at(emb, c, -lr * ge)

@@ -26,20 +26,16 @@ def dpr_vector_local(
     g: CSRGraph, alpha: float, *, tol: float = 1e-12, max_iter: int = 300
 ) -> np.ndarray:
     """DPR vector over leaves by power iteration; sums to ~1."""
-    src, dst = g.edge_array()
-    deg = g.out_deg.copy()
-    deg[deg == 0] = 1.0
-    s = g.out_deg / max(1.0, float(g.m))
-    x = s.copy()
+    nodes = np.arange(g.n)
+    deg = np.maximum(g.out_deg, 1.0)
+    x = g.out_deg / max(1.0, float(g.m))
     pi = np.zeros(g.n)
     weight = 1.0
     for _ in range(max_iter):
         pi += alpha * weight * x
         if weight < tol:
             break
-        y = np.zeros(g.n)
-        np.add.at(y, dst, x[src] / deg[src])
-        x = y
+        x, _ = g.propagate(nodes, x / deg)
         weight *= 1.0 - alpha
     return pi
 

@@ -46,9 +46,8 @@ def ppr_single_source_pi(
     iteration. Returns the PPR vector pi(source, .).
     """
     budget = budget or OpBudget()
-    src, dst = g.edge_array()
-    deg = g.out_deg.copy()
-    deg[deg == 0] = 1.0
+    nodes = np.arange(g.n)
+    deg = np.maximum(g.out_deg, 1.0)
     # Propagate the probability mass of the *current step* distribution:
     # pi = alpha * sum_t (1-alpha)^t x_t with x_0 = e_s, x_{t+1} = P^T x_t.
     x = np.zeros(g.n)
@@ -57,9 +56,7 @@ def ppr_single_source_pi(
     weight = 1.0
     while weight > tol:
         pi += alpha * weight * x
-        y = np.zeros(g.n)
-        np.add.at(y, dst, x[src] / deg[src])
-        x = y
+        x, arcs = g.propagate(nodes, x / deg)
         weight *= 1.0 - alpha
-        budget.charge(g.m)
+        budget.charge(arcs)
     return pi

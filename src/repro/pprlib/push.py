@@ -4,7 +4,9 @@ Frontier-synchronous formulation: every node above its threshold pushes in
 the same round. The push invariant (paper Eq. (3)) holds under *any* push
 schedule, so batching preserves correctness; it also makes the local kernel
 bit-for-bit comparable with the Spark DataFrame implementation in
-``repro.core.taupush_spark`` (same schedule, same rounds).
+``repro.core.taupush_spark`` (same schedule, same rounds). Each round is
+one :meth:`CSRGraph.propagate` call, which expands a small frontier and
+sweeps the whole arc list for a large one.
 
 Both kernels work on *residue vectors*, so the grouped variants (GFP/GBP,
 paper Alg. 2-3) reuse them by seeding multiple sources/targets at once.
@@ -56,11 +58,10 @@ def forward_push(
             break
         ra = r[active]
         est[active] += alpha * ra
-        srcs, dsts = g.out_edges_of(active)
-        budget.charge(len(srcs))
-        send = (1.0 - alpha) * r[srcs] / g.out_deg[srcs]
+        received, arcs = g.propagate(active, (1.0 - alpha) * ra / g.out_deg[active])
+        budget.charge(arcs)
         r[active] = 0.0
-        np.add.at(r, dsts, send)
+        r += received
         rounds += 1
     return est, r, rounds
 
@@ -82,6 +83,8 @@ def backward_push(
     budget = budget or OpBudget()
     r = np.asarray(residue, dtype=np.float64).copy()
     est = np.zeros(g.n)
+    # only nodes with an out-arc receive, so the clamp never changes a sum
+    deg = np.maximum(g.out_deg, 1.0)
     rounds = 0
     while True:
         active = np.flatnonzero(r > rmax_b)
@@ -89,11 +92,10 @@ def backward_push(
             break
         ra = r[active]
         est[active] += alpha * ra
-        dsts, srcs = g.in_edges_of(active)  # arcs srcs -> dsts(active)
-        budget.charge(len(srcs))
-        send = (1.0 - alpha) * r[dsts] / g.out_deg[srcs]
+        received, arcs = g.propagate(active, (1.0 - alpha) * ra, reverse=True)
+        budget.charge(arcs)
         r[active] = 0.0
-        np.add.at(r, srcs, send)
+        r += received / deg
         rounds += 1
     return est, r, rounds
 

@@ -43,14 +43,11 @@ def resacc_single_source(
     # phase 1: localized push with a moderate threshold
     est, r, _ = forward_push(g, residue, max(rmax, 1e-9), alpha, budget=budget)
     # phase 2: accumulation sweeps — propagate *all* remaining residue
-    src, dst = g.edge_array()
-    deg = g.out_deg.copy()
-    deg[deg == 0] = 1.0
+    nodes = np.arange(g.n)
+    deg = np.maximum(g.out_deg, 1.0)
     target = eps * delta
     while float(r.sum()) > target:
         est += alpha * r
-        y = np.zeros(g.n)
-        np.add.at(y, dst, (1.0 - alpha) * r[src] / deg[src])
-        budget.charge(g.m)
-        r = y
+        r, arcs = g.propagate(nodes, (1.0 - alpha) * r / deg)
+        budget.charge(arcs)
     return est

@@ -24,6 +24,17 @@ def tiny():
 
 
 @pytest.fixture(scope="session")
+def messy():
+    """Seeded 60-node directed graph: nodes 50-54 only receive (dangling),
+    55-59 are isolated, every 7th node has a self-loop, some arcs repeat."""
+    rng = np.random.default_rng(7)
+    src = rng.integers(0, 50, 300)
+    dst = rng.integers(0, 55, 300)
+    loops = np.arange(0, 50, 7)
+    return CSRGraph(60, np.concatenate([src, loops]), np.concatenate([dst, loops]))
+
+
+@pytest.fixture(scope="session")
 def twego():
     return load_dataset("TwEgo").csr()
 

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.graphs import csr as csr_mod
 from repro.graphs.csr import CSRGraph
 
 
@@ -79,3 +80,74 @@ def test_dangling_node_allowed():
     g = CSRGraph(3, np.array([0]), np.array([2]))
     assert g.out_deg.tolist() == [1.0, 0.0, 0.0]
     assert g.out_neighbors(2).tolist() == []
+
+
+def _propagate_by_arc(g, nodes, vals, reverse):
+    """Reference for CSRGraph.propagate: one Python step per arc."""
+    val_of = dict(zip(nodes.tolist(), vals.tolist()))
+    out = np.zeros(g.n)
+    arcs = 0
+    for u, v in zip(*(a.tolist() for a in g.edge_array())):
+        head, tail = (v, u) if reverse else (u, v)
+        if head in val_of:
+            out[tail] += val_of[head]
+            arcs += 1
+    return out, arcs
+
+
+# shares of m that force every propagate round onto one path (a frontier of
+# distinct nodes touches at most m arcs; -inf * 0 is nan, so m = 0 goes dense)
+ALL_SPARSE, ALL_DENSE = 1.0, float("-inf")
+
+
+@pytest.mark.parametrize("share", [ALL_SPARSE, ALL_DENSE])
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("graph", ["tiny", "messy"])
+def test_propagate_matches_per_arc_loop(graph, reverse, share, request, monkeypatch):
+    monkeypatch.setattr(csr_mod, "DENSE_ARC_SHARE", share)
+    g = request.getfixturevalue(graph)
+    rng = np.random.default_rng(1)
+    for size in (0, 1, g.n // 3, g.n):
+        nodes = np.sort(rng.choice(g.n, size, replace=False))
+        vals = rng.random(size)
+        sums, arcs = g.propagate(nodes, vals, reverse=reverse)
+        want, want_arcs = _propagate_by_arc(g, nodes, vals, reverse)
+        assert sums.dtype == np.float64 and sums.shape == (g.n,)
+        assert np.array_equal(sums, want)
+        assert arcs == want_arcs
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_propagate_paths(tiny, monkeypatch, reverse):
+    """The sparse path expands through out/in_edges_of; the dense one does not."""
+    calls = []
+
+    def spy(name):
+        orig = getattr(CSRGraph, name)
+
+        def wrapped(self, nodes):
+            calls.append(name)
+            return orig(self, nodes)
+
+        return wrapped
+
+    for name in ("out_edges_of", "in_edges_of"):
+        monkeypatch.setattr(CSRGraph, name, spy(name))
+    nodes, vals = np.array([0, 4]), np.array([0.5, 2.0])
+    monkeypatch.setattr(csr_mod, "DENSE_ARC_SHARE", ALL_DENSE)
+    dense = tiny.propagate(nodes, vals, reverse=reverse)
+    assert calls == []
+    monkeypatch.setattr(csr_mod, "DENSE_ARC_SHARE", ALL_SPARSE)
+    sparse = tiny.propagate(nodes, vals, reverse=reverse)
+    assert calls == ["in_edges_of" if reverse else "out_edges_of"]
+    assert np.array_equal(dense[0], sparse[0]) and dense[1] == sparse[1]
+
+
+@pytest.mark.parametrize("share", [ALL_SPARSE, ALL_DENSE])
+def test_propagate_arcless_graph(share, monkeypatch):
+    monkeypatch.setattr(csr_mod, "DENSE_ARC_SHARE", share)
+    g = CSRGraph(4, np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+    for reverse in (False, True):
+        sums, arcs = g.propagate(np.arange(4), np.ones(4), reverse=reverse)
+        assert arcs == 0
+        assert sums.dtype == np.float64 and np.array_equal(sums, np.zeros(4))

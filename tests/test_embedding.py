@@ -1,4 +1,6 @@
 """Embedding baseline tests (GFactor, SDNE-lite, LapEig, LLE, Node2vec)."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -89,3 +91,11 @@ def test_sdne_reconstruction_improves(twego):
         return e / dist[iu].mean()
 
     assert ratio(X_long) <= ratio(X_short) + 0.25
+
+
+def test_node2vec_no_overflow_warning(twego):
+    """TwEgo drives SGNS scores below -709, where an unclamped exp overflows."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        X = emb.node2vec_lite(twego, seed=0)
+    assert np.isfinite(X).all()

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.graphs import csr as csr_mod
 from repro.pprlib.budget import OpBudget, OpBudgetExceeded
 from repro.pprlib.push import backward_push, forward_push, random_walks
 
@@ -121,3 +122,30 @@ def test_random_walks_budget(fbego):
     b = OpBudget()
     random_walks(fbego, np.zeros(100, dtype=np.int64), ALPHA, rng, budget=b)
     assert b.ops >= 100  # at least one step per walk
+
+
+# shares of m that force every propagate round onto one path
+ALL_SPARSE, ALL_DENSE = 1.0, float("-inf")
+
+
+def _run_push(kernel, g, seeds, share, monkeypatch):
+    monkeypatch.setattr(csr_mod, "DENSE_ARC_SHARE", share)
+    residue = np.zeros(g.n)
+    residue[seeds] = g.out_deg[seeds] if kernel is forward_push else 1.0
+    budget = OpBudget()
+    est, r, rounds = kernel(g, residue, 1e-7, ALPHA, budget=budget)
+    return est, r, rounds, budget.ops
+
+
+@pytest.mark.parametrize("kernel", [forward_push, backward_push])
+@pytest.mark.parametrize(
+    "graph, seeds", [("tiny", [0]), ("fbego", [1, 7, 30]), ("messy", [0, 3, 52])]
+)
+def test_sparse_and_dense_paths_agree(kernel, graph, seeds, request, monkeypatch):
+    g = request.getfixturevalue(graph)
+    sparse = _run_push(kernel, g, seeds, ALL_SPARSE, monkeypatch)
+    dense = _run_push(kernel, g, seeds, ALL_DENSE, monkeypatch)
+    assert sparse[2] == dense[2] and sparse[3] == dense[3]
+    assert sparse[2] > 5
+    np.testing.assert_allclose(sparse[0], dense[0], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(sparse[1], dense[1], rtol=0, atol=1e-15)
