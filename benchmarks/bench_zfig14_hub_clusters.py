@@ -20,14 +20,13 @@ def bench_zfig14_hub_clusters(benchmark):
         rows = []
         for name in ("Youtube", "Twitter"):
             prep = eff.prepare(name, 25, n_paths=3)
-            g, h, idx = prep.g, prep.hierarchy, prep.taupush_index
+            g, h, idx = prep.model.g, prep.model.hierarchy, prep.model.index
             hub = int(np.argmax(idx.leaf_dpr))
             sup1 = int(h.leaf_labels[1][hub])
             kids, lfs = h.query_children_leafsets(1, sup1)
-            keys = [(0, int(c)) for c in kids]
             b_tau, b_gfp = OpBudget(), OpBudget()
             taupush_query(g, lfs, idx.leaf_dpr, eff.ALPHA, budget=b_tau,
-                          gbp_index=idx.gbp_store, gbp_keys=keys)
+                          index=idx, children=(0, kids))
             gfp_taumax_query(g, lfs, idx.leaf_dpr, eff.ALPHA, budget=b_gfp)
             rows.append({
                 "graph": name,

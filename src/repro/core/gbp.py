@@ -16,56 +16,6 @@ from repro.pprlib.budget import OpBudget
 from repro.pprlib.push import backward_push
 
 
-def gbp_residue_init(g: CSRGraph, leaf_set: np.ndarray) -> np.ndarray:
-    """Alg. 3 line 2: r(v, V_j) = 1/|F(V_j)| on the target's leaves."""
-    r = np.zeros(g.n)
-    r[leaf_set] = 1.0 / max(1, len(leaf_set))
-    return r
-
-
-def gbp_sparse(
-    g: CSRGraph,
-    target_leaves: np.ndarray,
-    rmax_b: float,
-    alpha: float,
-    *,
-    budget: OpBudget | None = None,
-    max_rounds: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """GBP per-node estimates from target V_j, in sparse (nodes, vals) form.
-
-    ``vals[i]`` approximates pi(nodes[i], V_j)-mass accumulated at that
-    node; the supernode aggregation (with the d(v) weight) happens in
-    :func:`gbp_aggregate`, so the same sparse result can be stored in the
-    index and re-aggregated for any query supernode S.
-    """
-    residue = gbp_residue_init(g, target_leaves)
-    est_nodes, _, _ = backward_push(
-        g, residue, rmax_b, alpha, budget=budget, max_rounds=max_rounds
-    )
-    nodes = np.flatnonzero(est_nodes > 0)
-    return nodes, est_nodes[nodes]
-
-
-def gbp_aggregate(
-    g: CSRGraph,
-    nodes: np.ndarray,
-    vals: np.ndarray,
-    member_label: np.ndarray,
-    sizes: np.ndarray,
-    *,
-    budget: OpBudget | None = None,
-) -> np.ndarray:
-    """Aggregate sparse GBP estimates into pi_hat(V_i, V_j) for V_i in S."""
-    if budget is not None:
-        budget.charge(len(nodes))
-    dense = np.zeros(g.n)
-    dense[nodes] = vals
-    return aggregate_to_supernodes(
-        dense, member_label, sizes, weight=g.out_deg
-    )
-
-
 def gbp(
     g: CSRGraph,
     target_leaves: np.ndarray,
@@ -76,6 +26,15 @@ def gbp(
     *,
     budget: OpBudget | None = None,
 ) -> np.ndarray:
-    """One full GBP invocation (Alg. 3): sparse push + aggregation."""
-    nodes, vals = gbp_sparse(g, target_leaves, rmax_b, alpha, budget=budget)
-    return gbp_aggregate(g, nodes, vals, member_label, sizes, budget=budget)
+    """One GBP invocation toward V_j (its ``target_leaves``).
+
+    Returns pi_hat(V_i, V_j) for the k supernodes V_i of S. Charges the
+    push's arcs plus one op per node with a nonzero estimate (the
+    aggregation).
+    """
+    residue = np.zeros(g.n)
+    residue[target_leaves] = 1.0 / max(1, len(target_leaves))  # Alg. 3 line 2
+    est, _, _ = backward_push(g, residue, rmax_b, alpha, budget=budget)
+    if budget is not None:
+        budget.charge(int(np.count_nonzero(est)))
+    return aggregate_to_supernodes(est, member_label, sizes, weight=g.out_deg)

@@ -55,7 +55,6 @@ def gfp(
     alpha: float,
     *,
     budget: OpBudget | None = None,
-    max_rounds: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One GFP invocation from supernode V_i (its ``source_leaves``).
 
@@ -63,7 +62,5 @@ def gfp(
     The residue vector feeds GFRA's random-walk refinement.
     """
     residue = gfp_residue_init(g, source_leaves)
-    est_nodes, r, _ = forward_push(
-        g, residue, rmax, alpha, budget=budget, max_rounds=max_rounds
-    )
+    est_nodes, r, _ = forward_push(g, residue, rmax, alpha, budget=budget)
     return aggregate_to_supernodes(est_nodes, member_label, sizes), r

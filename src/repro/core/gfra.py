@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.core.gfp import gfp
 from repro.core.pdist import pdist_matrix
-from repro.core.taupush import TauPushResult, membership_arrays
+from repro.core.taupush import TauPushResult, eps_delta, membership_arrays
 from repro.graphs.csr import CSRGraph
 from repro.pprlib.budget import OpBudget
 from repro.pprlib.fora import WalkIndex, fora_omega_W
@@ -36,8 +36,7 @@ def gfra_query(
 ) -> TauPushResult:
     """All-pair approximate level-l DPPR/PDist in S by GFRA."""
     k = len(leaf_sets)
-    eps = eps if eps is not None else 1.0 - 1.0 / math.e
-    delta = delta if delta is not None else 1.0 / (10.0 * max(1, k))
+    eps, delta = eps_delta(k, eps, delta)
     p_f = p_f or 1.0 / max(2, g.n)
     rng = rng or np.random.default_rng(0)
     budget = budget or OpBudget()

@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.gbp import gbp
-from repro.core.taupush import membership_arrays
+from repro.core.taupush import membership_arrays, taupush_params
 from repro.graphs.csr import CSRGraph
 from repro.hierarchy.supergraph import Hierarchy
 from repro.pprlib.budget import OpBudget
-from repro.pprlib.dpr import dpr_vector_local
+from repro.pprlib.dpr import dpr_vector_local, supernode_dpr
 
 
 @dataclass
@@ -49,13 +49,18 @@ class TauPushIndex:
     def dpr_nbytes(self) -> int:
         return int(self.leaf_dpr.nbytes)
 
-    def lookup(self, level: int, sup: int) -> dict[int, float] | None:
-        """Sibling-id -> estimated DPPR toward (level, sup), or None."""
+    def lookup(
+        self, level: int, sup: int, kids: np.ndarray
+    ) -> np.ndarray | None:
+        """The stored column toward (level, sup) in ``kids`` order, or None
+        when there is no entry or it misses one of ``kids``."""
         entry = self.gbp_store.get((level, sup))
         if entry is None:
             return None
         sids, vals = entry
-        return dict(zip(sids.tolist(), vals.tolist()))
+        row = {sid: i for i, sid in enumerate(sids.tolist())}
+        rows = [row.get(int(kid)) for kid in kids]
+        return None if None in rows else vals[rows]
 
 
 def _siblings(h: Hierarchy, level: int, sup: int) -> np.ndarray:
@@ -75,40 +80,25 @@ def build_taupush_index(
     eps: float | None = None,
     delta: float | None = None,
     budget: OpBudget | None = None,
-    include_gbp: bool = True,
 ) -> TauPushIndex:
     """Build the Tau-Push index for one graph + hierarchy.
 
-    ``include_gbp=False`` yields the GFP(tau_max) variant's index (DPR
-    only). tau follows the paper default 1/sqrt(k n); each stored GBP
-    column uses the Eq. (6) rmax_b of its own sibling set, so query-time
+    tau follows the paper default 1/sqrt(k n); each stored GBP column uses
+    the ``taupush_params`` rmax_b of its own sibling set, so query-time
     lookups return exactly what a live GBP inside Algorithm 1 would.
     """
-    eps = eps if eps is not None else 1.0 - 1.0 / math.e
     budget = budget or OpBudget()
     leaf_dpr = dpr_vector_local(g, alpha)
     budget.charge(g.m * 40)  # power-iteration preprocessing cost
     idx = TauPushIndex(leaf_dpr=leaf_dpr)
-    if not include_gbp:
-        idx.build_ops = budget.ops
-        return idx
     tau = 1.0 / math.sqrt(k * g.n)
     for level in range(0, h.n_levels + 1):
-        labels = h.leaf_labels[level]
-        n_sup = h.n_supernodes(level)
-        sums = np.zeros(n_sup)
-        np.add.at(sums, labels, leaf_dpr)
-        counts = np.bincount(labels, minlength=n_sup).astype(np.float64)
-        taus = sums / np.maximum(counts, 1.0)
+        taus = supernode_dpr(leaf_dpr, h.leaf_labels[level])
         for sup in np.flatnonzero(taus > tau):
             sibs = _siblings(h, level, int(sup))
             leaf_sets = [h.leaf_set(level, int(s)) for s in sibs]
             member, sizes = membership_arrays(g.n, leaf_sets)
-            delta_q = (
-                delta if delta is not None else 1.0 / (10.0 * max(1, len(sibs)))
-            )
-            avg_degs = [g.out_deg[fs].mean() for fs in leaf_sets if len(fs)]
-            rmax_b = eps * delta_q / max(avg_degs) if avg_degs else eps * delta_q
+            _, _, rmax_b = taupush_params(g, leaf_sets, eps, delta)
             fs = h.leaf_set(level, int(sup))
             col = gbp(g, fs, member, sizes, rmax_b, alpha, budget=budget)
             idx.gbp_store[(level, int(sup))] = (

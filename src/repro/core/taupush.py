@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,6 +19,10 @@ from repro.core.gfp import gfp
 from repro.core.pdist import pdist_matrix
 from repro.graphs.csr import CSRGraph
 from repro.pprlib.budget import OpBudget
+from repro.pprlib.dpr import leaf_set_dpr
+
+if TYPE_CHECKING:
+    from repro.core.index import TauPushIndex
 
 
 @dataclass
@@ -45,15 +50,41 @@ def membership_arrays(
     return member, sizes
 
 
+def eps_delta(
+    k: int, eps: float | None = None, delta: float | None = None
+) -> tuple[float, float]:
+    """(eps, delta) for a query over k supernodes; unset values take the
+    paper defaults eps = 1 - 1/e and delta = 1/(10k)."""
+    return (
+        1.0 - 1.0 / math.e if eps is None else eps,
+        1.0 / (10.0 * max(1, k)) if delta is None else delta,
+    )
+
+
 def taupush_params(
-    g: CSRGraph, leaf_sets: list[np.ndarray], eps: float, delta: float
+    g: CSRGraph,
+    leaf_sets: list[np.ndarray],
+    eps: float | None = None,
+    delta: float | None = None,
+    *,
+    tau: float | None = None,
 ) -> tuple[float, float, float]:
-    """(tau, rmax, rmax_b) per Alg. 1 lines 1-2, 5 (Eqs. 5-6)."""
-    k = max(1, len(leaf_sets))
-    tau = 1.0 / math.sqrt(k * g.n)
+    """(tau, rmax, rmax_b) per Alg. 1 lines 1-2, 5 (Eqs. 5-6).
+
+    ``tau`` defaults to 1/sqrt(k n); GFP(tau_max) passes max_j tau_j. When
+    no child has an out-arc, every DPPR pi_d(s, .) = pi(s, .) d(s) from S is
+    0, so GBP has nothing to refine and rmax_b is infinite (no push).
+    """
+    if g.m == 0:
+        raise ValueError("Tau-Push needs at least one arc: Eq. (5) divides by m")
+    eps, delta = eps_delta(len(leaf_sets), eps, delta)
+    if tau is None:
+        tau = 1.0 / math.sqrt(max(1, len(leaf_sets)) * g.n)
     rmax = eps * delta / (g.m * tau)
-    avg_degs = [g.out_deg[fs].mean() for fs in leaf_sets if len(fs)]
-    rmax_b = eps * delta / max(avg_degs) if avg_degs else eps * delta
+    max_avg_deg = max(
+        (g.out_deg[fs].mean() for fs in leaf_sets if len(fs)), default=0.0
+    )
+    rmax_b = eps * delta / max_avg_deg if max_avg_deg > 0 else math.inf
     return tau, rmax, rmax_b
 
 
@@ -66,59 +97,20 @@ def taupush_query(
     eps: float | None = None,
     delta: float | None = None,
     budget: OpBudget | None = None,
-    gbp_index: "dict | None" = None,
-    gbp_keys: list | None = None,
+    index: TauPushIndex | None = None,
+    children: tuple[int, np.ndarray] | None = None,
 ) -> TauPushResult:
     """Run Algorithm 1 for the children of S given by ``leaf_sets``.
 
     ``leaf_dpr`` is the precomputed DPR vector (the O(n) part of the
-    index). ``gbp_index`` optionally maps a key — ``gbp_keys[j]`` for
-    child j, e.g. the (level, supernode-id) pair used by
-    :mod:`repro.core.index` — to sparse GBP results (nodes, vals);
-    missing entries fall back to a live GBP run.
+    index). ``children = (child_level, kid_ids)`` names the children in
+    the hierarchy; a GBP target's column is then read from ``index`` when
+    it stores one over all of them (every hierarchy query), and computed
+    by a live GBP otherwise.
     """
-    k = len(leaf_sets)
-    eps = eps if eps is not None else 1.0 - 1.0 / math.e
-    delta = delta if delta is not None else 1.0 / (10.0 * max(1, k))
-    budget = budget or OpBudget()
-    tau, rmax, rmax_b = taupush_params(g, leaf_sets, eps, delta)
-    member, sizes = membership_arrays(g.n, leaf_sets)
-
-    dppr = np.zeros((k, k))
-    for i, fs in enumerate(leaf_sets):
-        dppr[i, :], _ = gfp(
-            g, fs, member, sizes, rmax, alpha, budget=budget
-        )
-
-    taus = np.array([leaf_dpr[fs].mean() if len(fs) else 0.0 for fs in leaf_sets])
-    gbp_targets = np.flatnonzero(taus > tau)
-    for j in gbp_targets:
-        fs = leaf_sets[j]
-        col = None
-        key = gbp_keys[j] if gbp_keys is not None else None
-        if gbp_index is not None and key in gbp_index:
-            # stored column over the target's siblings (index §4.3): valid
-            # exactly when the query's children are those siblings, which
-            # is every hierarchy query. Fall back to a live GBP otherwise.
-            sids, vals = gbp_index[key]
-            stored = dict(zip(sids.tolist(), vals.tolist()))
-            kid_ids = [kk[1] for kk in gbp_keys]
-            if all(kid in stored for kid in kid_ids):
-                col = np.array([stored[kid] for kid in kid_ids])
-                budget.charge(k)
-        if col is None:
-            col = gbp(g, fs, member, sizes, rmax_b, alpha, budget=budget)
-        dppr[:, j] = col
-
-    return TauPushResult(
-        pdist=pdist_matrix(dppr, g.n),
-        dppr=dppr,
-        ops=budget.ops,
-        n_gbp_targets=int(len(gbp_targets)),
-        tau=tau,
-        rmax=rmax,
-        rmax_b=rmax_b,
-    )
+    taus = leaf_set_dpr(leaf_dpr, leaf_sets)
+    params = taupush_params(g, leaf_sets, eps, delta)
+    return _push_and_refine(g, leaf_sets, taus, params, alpha, budget, index, children)
 
 
 def gfp_taumax_query(
@@ -133,29 +125,56 @@ def gfp_taumax_query(
 ) -> TauPushResult:
     """The GFP(tau_max) ablation (§7.4): tau = max_j tau_j, GFP only.
 
-    With tau set to the largest child DPR, Lemma 4.1 makes *every* GFP
-    estimate (eps, delta)-approximate, so GBP is skipped entirely — at the
-    cost of a much smaller rmax (more pushes) when some child has a large
-    DPR.
+    With tau set to the largest child DPR, no child passes the GBP filter
+    and Lemma 4.1 makes *every* GFP estimate (eps, delta)-approximate — at
+    the cost of a much smaller rmax (more pushes) when some child has a
+    large DPR.
     """
-    k = len(leaf_sets)
-    eps = eps if eps is not None else 1.0 - 1.0 / math.e
-    delta = delta if delta is not None else 1.0 / (10.0 * max(1, k))
-    budget = budget or OpBudget()
-    taus = np.array([leaf_dpr[fs].mean() if len(fs) else 0.0 for fs in leaf_sets])
-    tau_max = float(taus.max()) if k else 1.0
+    taus = leaf_set_dpr(leaf_dpr, leaf_sets)
+    tau_max = float(taus.max()) if len(taus) else 1.0
     tau_max = max(tau_max, 1.0 / max(1, g.n))  # guard degenerate zero
-    rmax = eps * delta / (g.m * tau_max)
+    params = taupush_params(g, leaf_sets, eps, delta, tau=tau_max)
+    return _push_and_refine(g, leaf_sets, taus, params, alpha, budget)
+
+
+def _push_and_refine(
+    g: CSRGraph,
+    leaf_sets: list[np.ndarray],
+    taus: np.ndarray,
+    params: tuple[float, float, float],
+    alpha: float,
+    budget: OpBudget | None,
+    index: TauPushIndex | None = None,
+    children: tuple[int, np.ndarray] | None = None,
+) -> TauPushResult:
+    """Alg. 1 lines 3-8: GFP from every child, GBP for children above tau."""
+    k = len(leaf_sets)
+    budget = budget or OpBudget()
+    tau, rmax, rmax_b = params
     member, sizes = membership_arrays(g.n, leaf_sets)
+
     dppr = np.zeros((k, k))
     for i, fs in enumerate(leaf_sets):
         dppr[i, :], _ = gfp(g, fs, member, sizes, rmax, alpha, budget=budget)
+
+    gbp_targets = np.flatnonzero(taus > tau)
+    for j in gbp_targets:
+        col = None
+        if index is not None and children is not None:
+            child_level, kids = children
+            col = index.lookup(child_level, int(kids[j]), kids)
+        if col is None:
+            col = gbp(g, leaf_sets[j], member, sizes, rmax_b, alpha, budget=budget)
+        else:
+            budget.charge(k)
+        dppr[:, j] = col
+
     return TauPushResult(
         pdist=pdist_matrix(dppr, g.n),
         dppr=dppr,
         ops=budget.ops,
-        n_gbp_targets=0,
-        tau=tau_max,
+        n_gbp_targets=int(len(gbp_targets)),
+        tau=tau,
         rmax=rmax,
-        rmax_b=float("nan"),
+        rmax_b=rmax_b,
     )

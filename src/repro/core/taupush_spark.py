@@ -15,15 +15,15 @@ response-time contrasts the tables exist to show (DESIGN.md §3).
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, functions as F
 
+from repro.core.gfp import aggregate_to_supernodes
 from repro.core.pdist import pdist_matrix
 from repro.core.taupush import membership_arrays, taupush_params
 from repro.graphs.csr import CSRGraph
+from repro.pprlib.dpr import leaf_set_dpr
 
 
 def _residue_df(spark: SparkSession, nodes: np.ndarray, values: np.ndarray) -> DataFrame:
@@ -66,7 +66,7 @@ def push_rounds_spark(
     for _ in range(max_rounds):
         with_deg = cur.join(deg, "node", "left").fillna({"deg": 0})
         if degree_scaled_threshold:
-            cond = (F.col("r") > F.col("deg") * F.lit(rmax)) & (F.col("deg") > 0)
+            cond = F.col("r") > F.col("deg") * F.lit(rmax)
         else:
             cond = F.col("r") > F.lit(rmax)
         active = with_deg.where(cond).localCheckpoint(eager=True)
@@ -122,23 +122,17 @@ def taupush_query_spark(
     ``taupush_query``.
     """
     k = len(leaf_sets)
-    eps = eps if eps is not None else 1.0 - 1.0 / math.e
-    delta = delta if delta is not None else 1.0 / (10.0 * max(1, k))
     tau, rmax, rmax_b = taupush_params(g, leaf_sets, eps, delta)
     member, sizes = membership_arrays(g.n, leaf_sets)
     deg = edges.groupBy(F.col("src").alias("node")).agg(
         F.count("*").alias("deg")
     ).localCheckpoint(eager=True)
 
-    def agg(est_pdf: pd.DataFrame, weight_deg: bool) -> np.ndarray:
+    def agg(est_pdf: pd.DataFrame, weight: np.ndarray | None = None) -> np.ndarray:
         dense = np.zeros(g.n)
         if len(est_pdf):
             dense[est_pdf["node"].to_numpy()] = est_pdf["est"].to_numpy()
-        vals = dense * (g.out_deg if weight_deg else 1.0)
-        out = np.zeros(k)
-        inside = member >= 0
-        np.add.at(out, member[inside], vals[inside])
-        return out / np.maximum(sizes, 1)
+        return aggregate_to_supernodes(dense, member, sizes, weight=weight)
 
     dppr = np.zeros((k, k))
     for i, fs in enumerate(leaf_sets):
@@ -147,15 +141,14 @@ def taupush_query_spark(
             spark, edges, deg, res0, rmax, alpha,
             degree_scaled_threshold=True, backward=False,
         )
-        dppr[i, :] = agg(est_pdf, weight_deg=False)
+        dppr[i, :] = agg(est_pdf)
 
-    taus = np.array([leaf_dpr[fs].mean() if len(fs) else 0.0 for fs in leaf_sets])
-    for j in np.flatnonzero(taus > tau):
+    for j in np.flatnonzero(leaf_set_dpr(leaf_dpr, leaf_sets) > tau):
         fs = leaf_sets[j]
         res0 = _residue_df(spark, fs, np.full(len(fs), 1.0 / max(1, len(fs))))
         est_pdf, _ = push_rounds_spark(
             spark, edges, deg, res0, rmax_b, alpha,
             degree_scaled_threshold=False, backward=True,
         )
-        dppr[:, j] = agg(est_pdf, weight_deg=True)
+        dppr[:, j] = agg(est_pdf, g.out_deg)
     return pdist_matrix(dppr, g.n), dppr

@@ -14,7 +14,6 @@ supergraph to level 0.
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -22,21 +21,19 @@ import numpy as np
 
 from repro.core.gfp import aggregate_to_supernodes
 from repro.core.gfra import gfra_query
-from repro.core.index import TauPushIndex, build_taupush_index
+from repro.core.index import build_taupush_index
 from repro.core.pdist import pdist_matrix
-from repro.core.taupush import (
-    gfp_taumax_query,
-    membership_arrays,
-    taupush_query,
-)
+from repro.core.taupush import eps_delta, gfp_taumax_query, membership_arrays
 from repro.graphs.csr import CSRGraph
 from repro.graphs.datasets import load_dataset
-from repro.hierarchy.supergraph import Hierarchy, build_hierarchy
+from repro.hierarchy.supergraph import build_hierarchy
 from repro.layout.stress import stress_majorization
 from repro.pprlib.budget import OpBudget, OpBudgetExceeded
+from repro.pprlib.dpr import dpr_vector_local
 from repro.pprlib.fora import WalkIndex, fora_single_source
 from repro.pprlib.power_iteration import ppr_single_source_pi
 from repro.pprlib.resacc import resacc_single_source
+from repro.pprviz import PPRvizModel
 
 ALPHA = 0.15
 VARIANTS = ["PI", "FORA", "FORA+", "ResAcc", "Tau-Push", "GFRA", "GFP(taumax)"]
@@ -54,14 +51,10 @@ class PreparedGraph:
     """Cached per-(graph, k) state shared by all variants."""
 
     name: str
-    k: int
-    g: CSRGraph
-    hierarchy: Hierarchy
+    model: PPRvizModel  # graph, hierarchy and Tau-Push index
     hierarchy_secs: float
-    taupush_index: TauPushIndex
     taupush_index_secs: float
-    dpr_only_index: TauPushIndex
-    dpr_only_secs: float
+    dpr_secs: float  # the DPR vector alone: GFP(tau_max)'s index
     fora_index: WalkIndex
     fora_index_secs: float
     foraplus_index: WalkIndex
@@ -81,12 +74,12 @@ def prepare(name: str, k: int = 25, *, n_paths: int = 10, seed: int = 0) -> Prep
     t0 = time.perf_counter()
     h = build_hierarchy(g, k, seed=seed)
     t_h = time.perf_counter() - t0
-    eps, delta = 1.0 - 1.0 / math.e, 1.0 / (10.0 * k)
+    eps, delta = eps_delta(k)
     t0 = time.perf_counter()
     tp_idx = build_taupush_index(g, h, ALPHA, k)
     t_tp = time.perf_counter() - t0
     t0 = time.perf_counter()
-    dpr_idx = build_taupush_index(g, h, ALPHA, k, include_gbp=False)
+    dpr_vector_local(g, ALPHA)
     t_dpr = time.perf_counter() - t0
     t0 = time.perf_counter()
     fora_idx = WalkIndex(g, ALPHA, eps, delta, seed=seed, per_node_cap=64)
@@ -97,9 +90,9 @@ def prepare(name: str, k: int = 25, *, n_paths: int = 10, seed: int = 0) -> Prep
     rng = np.random.default_rng(seed)
     paths = [h.random_zoom_path(rng) for _ in range(n_paths)]
     prep = PreparedGraph(
-        name=name, k=k, g=g, hierarchy=h, hierarchy_secs=t_h,
-        taupush_index=tp_idx, taupush_index_secs=t_tp,
-        dpr_only_index=dpr_idx, dpr_only_secs=t_dpr,
+        name=name,
+        model=PPRvizModel(g=g, k=k, alpha=ALPHA, hierarchy=h, index=tp_idx),
+        hierarchy_secs=t_h, taupush_index_secs=t_tp, dpr_secs=t_dpr,
         fora_index=fora_idx, fora_index_secs=t_fora,
         foraplus_index=forap_idx, foraplus_index_secs=t_forap,
         paths=paths,
@@ -157,44 +150,30 @@ def run_variant_query(
     *,
     budget: OpBudget,
     rng: np.random.Generator,
-    embed: bool = True,
 ) -> np.ndarray:
     """One visualization query under a given variant; returns positions.
 
     Raises OpBudgetExceeded when the variant blows the response budget.
     """
-    g, h = prep.g, prep.hierarchy
-    kids, leaf_sets = h.query_children_leafsets(parent_level, sup)
-    child_level = h.n_levels if sup is None else parent_level - 1
-    eps = 1.0 - 1.0 / math.e
-    delta = 1.0 / (10.0 * max(1, len(leaf_sets)))
     if variant == "Tau-Push":
-        keys = [(child_level, int(c)) for c in kids]
-        res = taupush_query(
-            g, leaf_sets, prep.taupush_index.leaf_dpr, ALPHA, budget=budget,
-            gbp_index=prep.taupush_index.gbp_store, gbp_keys=keys,
-        )
-        pdist = res.pdist
-    elif variant == "GFP(taumax)":
-        res = gfp_taumax_query(
-            g, leaf_sets, prep.dpr_only_index.leaf_dpr, ALPHA, budget=budget
-        )
-        pdist = res.pdist
+        return prep.model.query(parent_level, sup, budget=budget)
+    g, h, idx = prep.model.g, prep.model.hierarchy, prep.model.index
+    _, leaf_sets = h.query_children_leafsets(parent_level, sup)
+    if variant == "GFP(taumax)":
+        pdist = gfp_taumax_query(g, leaf_sets, idx.leaf_dpr, ALPHA, budget=budget).pdist
     elif variant == "GFRA":
-        res = gfra_query(
+        pdist = gfra_query(
             g, leaf_sets, ALPHA, rng=rng, budget=budget,
             walk_index=prep.fora_index,
-        )
-        pdist = res.pdist
+        ).pdist
     else:
         widx = {"FORA": prep.fora_index, "FORA+": prep.foraplus_index}.get(variant)
+        eps, delta = eps_delta(len(leaf_sets))
         dppr = _per_leaf_dppr(
             variant, g, leaf_sets, eps=eps, delta=delta,
             budget=budget, rng=rng, walk_index=widx,
         )
         pdist = pdist_matrix(dppr, g.n)
-    if not embed:
-        return pdist
     return stress_majorization(pdist, seed=0)
 
 
@@ -236,21 +215,21 @@ def preprocessing_time(variant: str, prep: PreparedGraph) -> float:
         "GFRA": prep.fora_index_secs,
         "FORA+": prep.foraplus_index_secs,
         "Tau-Push": prep.taupush_index_secs,
-        "GFP(taumax)": prep.dpr_only_secs,
+        "GFP(taumax)": prep.dpr_secs,
     }[variant]
     return prep.hierarchy_secs + extra
 
 
 def index_size_bytes(variant: str, prep: PreparedGraph) -> int:
     """Bytes of stored index: hierarchy labels (all variants) + extras."""
-    base = sum(int(lab.nbytes) for lab in prep.hierarchy.leaf_labels)
+    base = sum(int(lab.nbytes) for lab in prep.model.hierarchy.leaf_labels)
     extra = {
         "PI": 0,
         "ResAcc": 0,
         "FORA": prep.fora_index.nbytes,
         "GFRA": prep.fora_index.nbytes,
         "FORA+": prep.foraplus_index.nbytes,
-        "Tau-Push": prep.taupush_index.nbytes,
-        "GFP(taumax)": prep.taupush_index.dpr_nbytes,
+        "Tau-Push": prep.model.index.nbytes,
+        "GFP(taumax)": prep.model.index.dpr_nbytes,
     }[variant]
     return base + extra

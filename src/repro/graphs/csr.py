@@ -45,7 +45,9 @@ class CSRGraph:
         dst = np.asarray(dst, dtype=np.int64)
         if src.shape != dst.shape:
             raise ValueError("src/dst length mismatch")
-        if len(src) and (src.min() < 0 or max(src.max(), dst.max()) >= n):
+        if len(src) and (
+            min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n
+        ):
             raise ValueError("node id out of range")
         self.n = int(n)
         self.m = int(len(src))

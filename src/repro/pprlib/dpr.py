@@ -89,3 +89,8 @@ def supernode_dpr(leaf_dpr: np.ndarray, leaf_labels: np.ndarray) -> np.ndarray:
     np.add.at(sums, leaf_labels, leaf_dpr)
     counts = np.bincount(leaf_labels, minlength=n_sup).astype(np.float64)
     return sums / np.maximum(counts, 1.0)
+
+
+def leaf_set_dpr(leaf_dpr: np.ndarray, leaf_sets: list[np.ndarray]) -> np.ndarray:
+    """tau_i per query child = mean leaf DPR over F(V_i); 0 for an empty set."""
+    return np.array([leaf_dpr[fs].mean() if len(fs) else 0.0 for fs in leaf_sets])

@@ -15,7 +15,10 @@ in ``repro.core``.
 
 Semantics:
 * forward: residue r(v) pushes when r(v) > d(v) * rmax; alpha*r(v) goes to
-  the estimate of v; (1-alpha)*r(v)/d(v) goes to each out-neighbor.
+  the estimate of v; (1-alpha)*r(v)/d(v) goes to each out-neighbor. A
+  dangling node (d(v) = 0) pushes any positive residue: it keeps
+  alpha*r(v) and its (1-alpha)*r(v) leaves the graph, as the alpha-restart
+  walk that reaches it stops there.
   With initial residue r(s) = d(s), the estimate converges to DPPR
   pi_d(s, .) = pi(s, .) * d(s).
 * backward: residue r(v) pushes when r(v) > rmax_b; alpha*r(v) goes to
@@ -49,16 +52,17 @@ def forward_push(
     r = np.asarray(residue, dtype=np.float64).copy()
     est = np.zeros(g.n)
     thresh = g.out_deg * rmax
+    # a dangling node (deg 0) sends along no arc, so the clamp only keeps
+    # the division finite
+    deg = np.maximum(g.out_deg, 1.0)
     rounds = 0
     while True:
         active = np.flatnonzero(r > np.maximum(thresh, 1e-300))
-        # dangling nodes (deg 0) would loop forever; they cannot push.
-        active = active[g.out_deg[active] > 0]
         if len(active) == 0 or (max_rounds is not None and rounds >= max_rounds):
             break
         ra = r[active]
         est[active] += alpha * ra
-        received, arcs = g.propagate(active, (1.0 - alpha) * ra / g.out_deg[active])
+        received, arcs = g.propagate(active, (1.0 - alpha) * ra / deg[active])
         budget.charge(arcs)
         r[active] = 0.0
         r += received

@@ -52,27 +52,25 @@ class PPRvizModel:
         """
         kids, leaf_sets = self.hierarchy.query_children_leafsets(parent_level, sup)
         child_level = self.hierarchy.n_levels if sup is None else parent_level - 1
-        keys = [(child_level, int(c)) for c in kids]
         res: TauPushResult = taupush_query(
             self.g,
             leaf_sets,
             self.index.leaf_dpr,
             self.alpha,
             budget=budget,
-            gbp_index=self.index.gbp_store,
-            gbp_keys=keys,
+            index=self.index,
+            children=(child_level, kids),
         )
         X = stress_majorization(res.pdist, seed=seed)
         return (X, res) if return_result else X
 
 
 def preprocess(
-    g: CSRGraph, k: int, *, alpha: float = 0.15, seed: int = 0,
-    include_gbp: bool = True,
+    g: CSRGraph, k: int, *, alpha: float = 0.15, seed: int = 0
 ) -> PPRvizModel:
     """PPRviz preprocessing: hierarchy + index (paper Fig. 7 left)."""
     h = build_hierarchy(g, k, seed=seed)
-    idx = build_taupush_index(g, h, alpha, k, include_gbp=include_gbp)
+    idx = build_taupush_index(g, h, alpha, k)
     return PPRvizModel(g=g, k=k, alpha=alpha, hierarchy=h, index=idx)
 
 

@@ -71,6 +71,12 @@ def test_id_out_of_range_raises():
         CSRGraph(2, np.array([0]), np.array([5]))
 
 
+@pytest.mark.parametrize("src, dst", [([0, 1], [1, -1]), ([-1, 1], [1, 0])])
+def test_negative_id_raises(src, dst):
+    with pytest.raises(ValueError):
+        CSRGraph(3, np.array(src), np.array(dst))
+
+
 def test_length_mismatch_raises():
     with pytest.raises(ValueError):
         CSRGraph(3, np.array([0, 1]), np.array([1]))

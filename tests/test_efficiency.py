@@ -17,7 +17,7 @@ def test_prepare_cached(prep):
 
 def test_paths_prepared(prep):
     assert len(prep.paths) == 2
-    assert prep.paths[0][0] == (prep.hierarchy.n_levels + 1, None)
+    assert prep.paths[0][0] == (prep.model.hierarchy.n_levels + 1, None)
 
 
 def test_taupush_response_finite(prep):

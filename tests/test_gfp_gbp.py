@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.gbp import gbp, gbp_aggregate, gbp_sparse
+from repro.core.gbp import gbp
 from repro.core.gfp import aggregate_to_supernodes, gfp, gfp_residue_init
 from repro.core.pdist import level_dppr_exact
 from repro.core.taupush import membership_arrays, taupush_params
@@ -114,14 +114,6 @@ def test_gbp_tight_converges(fbego, fbego_exact_dppr, partition):
     exact = level_dppr_exact(fbego_exact_dppr, leaf_sets)
     col = gbp(fbego, leaf_sets[3], member, sizes, 1e-8, ALPHA)
     np.testing.assert_allclose(col, exact[:, 3], atol=1e-4)
-
-
-def test_gbp_sparse_then_aggregate_equals_full(fbego, partition):
-    leaf_sets, member, sizes = partition
-    nodes, vals = gbp_sparse(fbego, leaf_sets[0], 1e-4, ALPHA)
-    col1 = gbp_aggregate(fbego, nodes, vals, member, sizes)
-    col2 = gbp(fbego, leaf_sets[0], member, sizes, 1e-4, ALPHA)
-    np.testing.assert_allclose(col1, col2)
 
 
 def test_gbp_budget(fbego, partition):

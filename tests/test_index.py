@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
+from repro.core.gbp import gbp
 from repro.core.index import build_taupush_index
-from repro.core.taupush import taupush_query
+from repro.core.taupush import membership_arrays, taupush_params, taupush_query
 from repro.graphs.datasets import load_dataset
 from repro.hierarchy import build_hierarchy
 from repro.pprlib.budget import OpBudget
@@ -56,10 +57,11 @@ def test_stored_columns_cover_siblings(yt):
 
 def test_lookup_api(yt):
     g, h, idx = yt
-    (level, sup) = next(iter(idx.gbp_store))
-    m = idx.lookup(level, sup)
-    assert m is not None and sup in m
-    assert idx.lookup(99, 0) is None
+    (level, sup), (sids, vals) = next(iter(idx.gbp_store.items()))
+    np.testing.assert_array_equal(idx.lookup(level, sup, sids), vals)
+    np.testing.assert_array_equal(idx.lookup(level, sup, sids[::-1]), vals[::-1])
+    assert idx.lookup(level, sup, np.append(sids, -1)) is None
+    assert idx.lookup(99, 0, sids) is None
 
 
 def test_query_with_index_matches_live_gbp(yt):
@@ -69,10 +71,8 @@ def test_query_with_index_matches_live_gbp(yt):
     hub = int(np.argmax(idx.leaf_dpr))
     sup1 = int(h.leaf_labels[1][hub])
     kids, leaf_sets = h.query_children_leafsets(1, sup1)
-    keys = [(0, int(c)) for c in kids]
     res_idx = taupush_query(
-        g, leaf_sets, idx.leaf_dpr, ALPHA,
-        gbp_index=idx.gbp_store, gbp_keys=keys,
+        g, leaf_sets, idx.leaf_dpr, ALPHA, index=idx, children=(0, kids)
     )
     res_live = taupush_query(g, leaf_sets, idx.leaf_dpr, ALPHA)
     assert res_idx.n_gbp_targets == res_live.n_gbp_targets >= 1
@@ -86,20 +86,42 @@ def test_index_query_cheaper_than_live(yt):
     hub = int(np.argmax(idx.leaf_dpr))
     sup1 = int(h.leaf_labels[1][hub])
     kids, leaf_sets = h.query_children_leafsets(1, sup1)
-    keys = [(0, int(c)) for c in kids]
     b_idx, b_live = OpBudget(), OpBudget()
     taupush_query(g, leaf_sets, idx.leaf_dpr, ALPHA, budget=b_idx,
-                  gbp_index=idx.gbp_store, gbp_keys=keys)
+                  index=idx, children=(0, kids))
     taupush_query(g, leaf_sets, idx.leaf_dpr, ALPHA, budget=b_live)
     assert b_idx.ops < b_live.ops
 
 
 def test_dpr_only_index_smaller(yt):
+    """GFP(tau_max)'s index is the DPR vector alone (Table 10)."""
     g, h, idx = yt
-    dpr_only = build_taupush_index(g, h, ALPHA, 25, include_gbp=False)
-    assert dpr_only.nbytes < idx.nbytes
-    assert dpr_only.nbytes == dpr_only.dpr_nbytes == idx.dpr_nbytes
-    assert len(dpr_only.gbp_store) == 0
+    assert idx.dpr_nbytes == idx.leaf_dpr.nbytes < idx.nbytes
+
+
+def test_every_stored_column_equals_live_gbp(yt):
+    """Every query with a stored child: the column the index serves is
+    bit-identical to a live GBP over the query's children."""
+    g, h, idx = yt
+    queries = [(h.n_levels + 1, None)] + [
+        (level, sup)
+        for level in range(h.n_levels, 0, -1)
+        for sup in range(h.n_supernodes(level))
+    ]
+    served = 0
+    for q in queries:
+        kids, leaf_sets = h.query_children_leafsets(*q)
+        child_level = h.n_levels if q[1] is None else q[0] - 1
+        member, sizes = membership_arrays(g.n, leaf_sets)
+        _, _, rmax_b = taupush_params(g, leaf_sets)
+        for j, kid in enumerate(kids.tolist()):
+            col = idx.lookup(child_level, kid, kids)
+            if col is None:
+                continue
+            live = gbp(g, leaf_sets[j], member, sizes, rmax_b, ALPHA)
+            np.testing.assert_array_equal(col, live)
+            served += 1
+    assert served == len(idx.gbp_store) > 0
 
 
 def test_index_size_reasonable(yt):

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.core.index import TauPushIndex
 from repro.graphs.datasets import load_dataset
 from repro.metrics import all_metrics
 from repro.pprviz import preprocess, single_level_layout
@@ -72,8 +73,9 @@ def test_single_level_quality_vs_random():
 
 
 def test_preprocess_without_gbp():
+    """With a DPR-only index every GBP target runs live."""
     g = load_dataset("FbEgo").csr()
-    m = preprocess(g, 10, include_gbp=False)
-    assert len(m.index.gbp_store) == 0
+    m = preprocess(g, 10)
+    m.index = TauPushIndex(leaf_dpr=m.index.leaf_dpr)
     X = m.query(m.hierarchy.n_levels + 1, None)
     assert np.isfinite(X).all()

@@ -149,3 +149,17 @@ def test_sparse_and_dense_paths_agree(kernel, graph, seeds, request, monkeypatch
     assert sparse[2] > 5
     np.testing.assert_allclose(sparse[0], dense[0], rtol=0, atol=1e-15)
     np.testing.assert_allclose(sparse[1], dense[1], rtol=0, atol=1e-15)
+
+
+def test_forward_push_dangling_node_keeps_alpha_share(messy):
+    """A dangling node pushes: it keeps alpha * r, sends nothing, and the
+    estimate matches the exact DPPR toward it (the walk stops there)."""
+    from repro.pprlib.power_iteration import exact_dppr_matrix
+
+    s = int(np.flatnonzero(messy.out_deg > 0)[0])
+    residue = np.zeros(messy.n)
+    residue[s] = messy.out_deg[s]
+    est, r, _ = forward_push(messy, residue, rmax=1e-10, alpha=ALPHA)
+    dangling = np.flatnonzero(messy.out_deg == 0)
+    assert (r[dangling] == 0).all()
+    np.testing.assert_allclose(est, exact_dppr_matrix(messy, ALPHA)[s], atol=1e-8)

@@ -93,3 +93,30 @@ def test_taupush_spark_matches_local(spark, fb):
     res_l = taupush_query(g, leaf_sets, dpr, ALPHA)
     np.testing.assert_allclose(dppr_s, res_l.dppr, atol=1e-9)
     np.testing.assert_allclose(pd_s, res_l.pdist, atol=1e-9)
+
+
+def test_forward_push_spark_dangling_matches_local(spark):
+    """Dangling nodes 2 and 3 push in both engines: they keep alpha * r
+    and send nothing."""
+    from pyspark.sql import functions as F
+
+    from repro.core.taupush_spark import _residue_df
+    from repro.graphs.csr import CSRGraph
+
+    src, dst = np.array([0, 0, 1]), np.array([1, 2, 3])
+    g = CSRGraph(4, src, dst)
+    edges = spark.createDataFrame(pd.DataFrame({"src": src, "dst": dst}))
+    deg = edges.groupBy(F.col("src").alias("node")).agg(F.count("*").alias("deg"))
+    r0 = np.array([g.out_deg[0], 0.0, 0.0, 0.0])
+    est_l, res_l, _ = forward_push(g, r0, rmax=0.01, alpha=ALPHA)
+    est_pdf, res_pdf = push_rounds_spark(
+        spark, edges, deg, _residue_df(spark, np.array([0]), r0[:1]),
+        0.01, ALPHA, degree_scaled_threshold=True, backward=False,
+    )
+    est_s = np.zeros(g.n)
+    est_s[est_pdf["node"].to_numpy()] = est_pdf["est"].to_numpy()
+    res_s = np.zeros(g.n)
+    res_s[res_pdf["node"].to_numpy()] = res_pdf["r"].to_numpy()
+    assert est_l[2] > 0 and est_l[3] > 0 and res_l[2] == res_l[3] == 0
+    np.testing.assert_allclose(est_s, est_l, atol=1e-12)
+    np.testing.assert_allclose(res_s, res_l, atol=1e-12)

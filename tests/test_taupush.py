@@ -1,11 +1,13 @@
 """Tau-Push (Algorithm 1) end-to-end accuracy and behaviour."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.core.pdist import level_dppr_exact, pdist_matrix
 from repro.core.taupush import gfp_taumax_query, taupush_params, taupush_query
+from repro.graphs.csr import CSRGraph
 from repro.graphs.datasets import load_dataset
 from repro.hierarchy import build_hierarchy
 from repro.pprlib.budget import OpBudget, OpBudgetExceeded
@@ -114,3 +116,22 @@ def test_tiny_graph_all_levels(tiny, tiny_exact_ppr):
     res = taupush_query(tiny, leaf_sets, dpr, ALPHA)
     exact = level_dppr_exact(exact_dppr, leaf_sets)
     _assert_eps_delta(res.dppr, exact, EPS, 1.0 / 20)
+
+
+def test_params_arcless_graph_raises():
+    g = CSRGraph(3, np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+    with pytest.raises(ValueError, match="arc"):
+        taupush_params(g, [np.array([0]), np.array([1, 2])])
+
+
+def test_params_all_children_dangling(messy):
+    """Children whose leaves have no out-arc: every DPPR from S is 0, so
+    GBP gets an infinite threshold and pushes nothing."""
+    leaf_sets = [np.array([50, 51]), np.array([52]), np.array([55, 56])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, rmax_b = taupush_params(messy, leaf_sets)
+        res = taupush_query(messy, leaf_sets, np.ones(messy.n), ALPHA)
+    assert rmax_b == math.inf
+    assert res.n_gbp_targets == 3 and res.ops == 0
+    assert (res.dppr == 0).all()
