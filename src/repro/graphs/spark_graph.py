@@ -1,13 +1,17 @@
-"""Spark DataFrame graph operations.
+"""Spark DataFrame graph: the (src, dst) arc list as the distributed graph.
 
-The DataFrame (src, dst) arc list is the canonical distributed graph
-representation; every aggregate here has a plain-SQL equivalent so tests can
-oracle-check it against DuckDB on the same input (see tests/test_spark_graph).
-
-Functions take and return DataFrames so they compose as jobs.
+The degree aggregates have plain-SQL equivalents, so tests oracle-check
+them against DuckDB on the same input (see tests/test_spark_graph).
+:class:`SparkGraph` exposes the same propagation primitive as
+:class:`repro.graphs.csr.CSRGraph`, so every push kernel runs unchanged on
+either graph: the O(m) arc list stays a partitioned DataFrame and every
+arc traversal is a Spark job, while the O(n) vertex vectors (residues,
+estimates, DPR) stay numpy on the driver.
 """
 from __future__ import annotations
 
+import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame, functions as F
 
 
@@ -25,69 +29,58 @@ def in_degrees(edges: DataFrame) -> DataFrame:
     )
 
 
-def reverse(edges: DataFrame) -> DataFrame:
-    """Reverse every arc (GBP traverses the transposed graph)."""
-    return edges.select(
-        F.col("dst").alias("src"), F.col("src").alias("dst")
-    )
+def _per_node(counts: DataFrame, n: int) -> np.ndarray:
+    """Length-n int64 array from a collected (node, count) frame."""
+    pdf = counts.toPandas()
+    out = np.zeros(n, dtype=np.int64)
+    out[pdf.iloc[:, 0].to_numpy()] = pdf.iloc[:, 1].to_numpy()
+    return out
 
 
-def supernode_edges(edges: DataFrame, membership: DataFrame) -> DataFrame:
-    """Weighted level-(l+1) supergraph arcs from leaf arcs.
+class SparkGraph:
+    """A directed graph on nodes ``0..n-1`` held as a (src, dst) DataFrame.
 
-    ``membership`` is (node, label): the supernode label of each leaf at
-    the target level. Output is (src_label, dst_label, weight) where weight
-    counts leaf arcs between the two supernodes — exactly the high-level
-    graph of paper §2.2 (an edge V_i→V_j exists iff some leaf arc crosses).
+    Attributes ``n``, ``m`` and ``out_deg`` mean what they mean on
+    :class:`CSRGraph`; the degrees are aggregated once, by Spark, and kept
+    on the driver.
     """
-    s = membership.select(
-        F.col("node").alias("src"), F.col("label").alias("src_label")
-    )
-    d = membership.select(
-        F.col("node").alias("dst"), F.col("label").alias("dst_label")
-    )
-    return (
-        edges.join(s, "src")
-        .join(d, "dst")
-        .groupBy("src_label", "dst_label")
-        .agg(F.count("*").alias("weight"))
-    )
 
+    def __init__(self, edges: DataFrame, n: int):
+        self.edges = edges
+        self.n = int(n)
+        self._out_count = _per_node(out_degrees(edges), self.n)
+        self._in_count = _per_node(in_degrees(edges), self.n)
+        self.m = int(self._out_count.sum())
+        self.out_deg = self._out_count.astype(np.float64)
 
-def level_dppr(pair_dppr: DataFrame, membership: DataFrame) -> DataFrame:
-    """Level-l DPPR (Eq. 2) from leaf-pair DPPR values.
+    def propagate(
+        self, nodes: np.ndarray, vals: np.ndarray, *, reverse: bool = False
+    ) -> tuple[np.ndarray, int]:
+        """One Spark superstep from ``nodes`` along their arcs.
 
-    ``pair_dppr`` is (src, dst, dppr) over leaf pairs; ``membership`` maps
-    (node, label). Output (src_label, dst_label, dppr) averages pair DPPR
-    over |F(V_i)|*|F(V_j)| — including the zero pairs absent from
-    ``pair_dppr``, which is why this divides by the full block size rather
-    than using avg().
-    """
-    sizes = membership.groupBy("label").agg(F.count("*").alias("sz"))
-    s = membership.select(
-        F.col("node").alias("src"), F.col("label").alias("src_label")
-    )
-    d = membership.select(
-        F.col("node").alias("dst"), F.col("label").alias("dst_label")
-    )
-    summed = (
-        pair_dppr.join(s, "src")
-        .join(d, "dst")
-        .groupBy("src_label", "dst_label")
-        .agg(F.sum("dppr").alias("sum_dppr"))
-    )
-    return (
-        summed.join(
-            sizes.select(F.col("label").alias("src_label"), F.col("sz").alias("src_sz")),
-            "src_label",
+        Same contract as :meth:`CSRGraph.propagate`: every arc out of
+        ``nodes[i]`` (into it when ``reverse``) carries ``vals[i]`` to its
+        other end; returns the length-n received sums and the arcs
+        touched. The frontier (node, val) joins the arc list, messages
+        group by receiver and are summed, and the sums are collected.
+        """
+        nodes = np.asarray(nodes, dtype=np.int64)
+        counts = self._in_count if reverse else self._out_count
+        arcs = int(counts[nodes].sum())
+        sums = np.zeros(self.n)
+        if arcs == 0:
+            return sums, 0
+        sender, receiver = ("dst", "src") if reverse else ("src", "dst")
+        frontier = self.edges.sparkSession.createDataFrame(
+            pd.DataFrame({sender: nodes, "val": np.asarray(vals, dtype=np.float64)})
         )
-        .join(
-            sizes.select(F.col("label").alias("dst_label"), F.col("sz").alias("dst_sz")),
-            "dst_label",
+        # the frontier comes from driver memory and has at most n rows, so
+        # it is broadcast and the O(m) arc list is never shuffled
+        got = (
+            F.broadcast(frontier).join(self.edges, sender)
+            .groupBy(receiver)
+            .agg(F.sum("val").alias("val"))
+            .toPandas()
         )
-        .select(
-            "src_label",
-            "dst_label",
-            (F.col("sum_dppr") / (F.col("src_sz") * F.col("dst_sz"))).alias("dppr"),
-        )
-    )
+        sums[got[receiver].to_numpy()] = got["val"].to_numpy()
+        return sums, arcs

@@ -55,8 +55,9 @@ def louvain_plus_level(
     Parameters: unique undirected weighted edges ``(a, b, w)`` with
     ``a <= b`` over ``n`` nodes; cap ``k``. Returns a compacted label array
     of length ``n`` (labels ``0..n_comm-1``); guaranteed ``n_comm < n``
-    whenever ``n > 1``, and every community has at most ``k`` members
-    (except a community can exceed nothing — the cap is hard).
+    whenever ``n > 1`` and ``k >= 2``, and every community has at most
+    ``k`` members (except a community can exceed nothing — the cap is
+    hard).
     """
     rng = np.random.default_rng(seed)
     # adjacency dicts excluding self-loops

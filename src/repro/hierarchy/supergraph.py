@@ -118,25 +118,23 @@ class Hierarchy:
 def build_hierarchy(g: CSRGraph, k: int, *, seed: int = 0) -> Hierarchy:
     """Construct the Louvain+ supergraph hierarchy of a graph.
 
-    Direction is ignored for clustering (paper App. A.1). Guarantees every
-    supernode has at most k children and the coarsest level has at most k
-    supernodes; falls back to arbitrary chunking if Louvain+ ever fails to
-    coarsen (pathological graphs only).
+    Direction is ignored for clustering (paper App. A.1): Louvain+ sees
+    each connected node pair once, with weight 1. Every supernode has at
+    most k children and the coarsest level has at most k supernodes.
+    Needs k >= 2, so that each Louvain+ level merges at least two nodes.
     """
+    if k < 2:
+        raise ValueError(f"k = {k}: a hierarchy needs k >= 2 children per supernode")
     s, d = g.edge_array()
-    keep = s <= d
-    a, b, w = s[keep], d[keep], np.ones(int(keep.sum()))
+    pairs = np.unique(np.minimum(s, d) * g.n + np.maximum(s, d))
+    a, b = np.divmod(pairs, g.n)
+    w = np.ones(len(pairs))
     n_cur = g.n
     leaf_labels = [np.arange(g.n, dtype=np.int64)]
     cur_to_leaf = np.arange(g.n, dtype=np.int64)  # level-l label per leaf
     level = 0
     while n_cur > k:
         labels = louvain_plus_level(a, b, w, n_cur, k, seed=seed + level)
-        n_new = int(labels.max()) + 1
-        if n_new >= n_cur:
-            # pathological stall: chunk arbitrarily to guarantee progress
-            labels = np.arange(n_cur, dtype=np.int64) // k
-            n_new = int(labels.max()) + 1
         cur_to_leaf = labels[cur_to_leaf]
         leaf_labels.append(cur_to_leaf.copy())
         a, b, w, n_cur = contract(a, b, w, labels)

@@ -7,79 +7,58 @@ s = d/m (paper §4.3 "setting the k-th entry in the initial global PageRank
 as d(v_k)/m"). For a supernode V_j, tau_j is the mean of tau_t over its
 leaves (Eq. (4) after the same algebra).
 
-Two engines compute the same vector:
-* :func:`dpr_vector_local` — numpy power iteration (used by the single-
-  thread kernels and the index builder);
-* :func:`dpr_vector_spark` — iterative Spark DataFrame dataflow
-  (rank join edges, groupBy dst), the distributed preprocessing path.
-Tests assert they agree.
+One power iteration, :func:`dpr_vector_local`, computes it on either
+engine: over a CSRGraph for the single-thread kernels and the index
+builder, and over a SparkGraph in :func:`dpr_vector_spark`, the
+distributed preprocessing path, where each step is a Spark join of the
+mass vector with the arc list. Tests assert the two agree.
 """
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import DataFrame, functions as F
+import pandas as pd
+from pyspark.sql import DataFrame
 
 from repro.graphs.csr import CSRGraph
+from repro.graphs.spark_graph import SparkGraph
 
 
 def dpr_vector_local(
     g: CSRGraph, alpha: float, *, tol: float = 1e-12, max_iter: int = 300
 ) -> np.ndarray:
-    """DPR vector over leaves by power iteration; sums to ~1."""
+    """DPR vector over leaves by power iteration; sums to ~1.
+
+    Stops once the remaining walk mass (1 - alpha)^i drops below ``tol``
+    or after ``max_iter`` propagations. Runs on any graph with ``n``,
+    ``m``, ``out_deg`` and ``propagate`` (a CSRGraph or a SparkGraph).
+    """
     nodes = np.arange(g.n)
     deg = np.maximum(g.out_deg, 1.0)
     x = g.out_deg / max(1.0, float(g.m))
-    pi = np.zeros(g.n)
+    pi = alpha * x
     weight = 1.0
     for _ in range(max_iter):
-        pi += alpha * weight * x
         if weight < tol:
             break
         x, _ = g.propagate(nodes, x / deg)
         weight *= 1.0 - alpha
+        pi += alpha * weight * x
     return pi
 
 
 def dpr_vector_spark(
     edges: DataFrame, n: int, alpha: float, *, n_iter: int = 60
 ) -> DataFrame:
-    """DPR vector as a (node, dpr) DataFrame via iterative dataflow.
+    """DPR vector as a (node, dpr) DataFrame, every propagation a Spark job.
 
-    Same fixed-point as :func:`dpr_vector_local`, expressed as n_iter
-    rounds of rank-join-aggregate over the (src, dst) arc list. Nodes with
-    zero mass may be absent from the result (treat as dpr = 0).
+    :func:`dpr_vector_local` over the (src, dst) arc list, capped at
+    ``n_iter`` propagations, so its truncation error is at most
+    (1 - alpha)^n_iter.
     """
-    spark = edges.sparkSession
-    deg = edges.groupBy(F.col("src").alias("node")).agg(
-        F.count("*").alias("deg")
+    dpr = dpr_vector_local(SparkGraph(edges, n), alpha, max_iter=n_iter)
+    return edges.sparkSession.createDataFrame(
+        pd.DataFrame({"node": np.arange(n), "dpr": dpr})
     )
-    m = edges.count()
-    # start distribution s = d/m; x holds the current step's mass
-    x = deg.select("node", (F.col("deg") / F.lit(float(m))).alias("mass"))
-    pi = x.select("node", (F.lit(alpha) * F.col("mass")).alias("dpr"))
-    weight = 1.0
-    for i in range(n_iter):
-        sends = (
-            x.join(deg, "node")
-            .join(edges, F.col("node") == F.col("src"))
-            .select(F.col("dst").alias("node"), (F.col("mass") / F.col("deg")).alias("mass"))
-            .groupBy("node")
-            .agg(F.sum("mass").alias("mass"))
-        )
-        x = sends
-        weight *= 1.0 - alpha
-        pi = (
-            pi.unionByName(
-                x.select("node", (F.lit(alpha * weight) * F.col("mass")).alias("dpr"))
-            )
-            .groupBy("node")
-            .agg(F.sum("dpr").alias("dpr"))
-        )
-        if (i + 1) % 8 == 0:
-            # cut lineage so the plan doesn't grow unboundedly
-            pi = pi.localCheckpoint(eager=True)
-            x = x.localCheckpoint(eager=True)
-    return pi
 
 
 def supernode_dpr(leaf_dpr: np.ndarray, leaf_labels: np.ndarray) -> np.ndarray:

@@ -2,11 +2,13 @@
 
 Frontier-synchronous formulation: every node above its threshold pushes in
 the same round. The push invariant (paper Eq. (3)) holds under *any* push
-schedule, so batching preserves correctness; it also makes the local kernel
-bit-for-bit comparable with the Spark DataFrame implementation in
-``repro.core.taupush_spark`` (same schedule, same rounds). Each round is
-one :meth:`CSRGraph.propagate` call, which expands a small frontier and
-sweeps the whole arc list for a large one.
+schedule, so batching preserves correctness. This is the only copy of the
+push rule: each round is one ``g.propagate`` call, and ``g`` is either a
+:class:`~repro.graphs.csr.CSRGraph` (expands a small frontier, sweeps the
+whole arc list for a large one) or a
+:class:`~repro.graphs.spark_graph.SparkGraph` (one Spark superstep). The
+residue and estimate vectors stay numpy either way, so both engines run
+the same rounds and charge the same ops.
 
 Both kernels work on *residue vectors*, so the grouped variants (GFP/GBP,
 paper Alg. 2-3) reuse them by seeding multiple sources/targets at once.
@@ -40,7 +42,6 @@ def forward_push(
     alpha: float,
     *,
     budget: OpBudget | None = None,
-    max_rounds: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Frontier-synchronous Forward-Push.
 
@@ -58,7 +59,7 @@ def forward_push(
     rounds = 0
     while True:
         active = np.flatnonzero(r > np.maximum(thresh, 1e-300))
-        if len(active) == 0 or (max_rounds is not None and rounds >= max_rounds):
+        if len(active) == 0:
             break
         ra = r[active]
         est[active] += alpha * ra
@@ -77,7 +78,6 @@ def backward_push(
     alpha: float,
     *,
     budget: OpBudget | None = None,
-    max_rounds: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Frontier-synchronous Backward-Push along in-edges.
 
@@ -92,7 +92,7 @@ def backward_push(
     rounds = 0
     while True:
         active = np.flatnonzero(r > rmax_b)
-        if len(active) == 0 or (max_rounds is not None and rounds >= max_rounds):
+        if len(active) == 0:
             break
         ra = r[active]
         est[active] += alpha * ra

@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
+from repro.graphs.csr import CSRGraph
 from repro.graphs.datasets import load_dataset
-from repro.hierarchy import build_hierarchy
+from repro.hierarchy import build_hierarchy, supergraph
+from repro.hierarchy.louvain import louvain_plus_level
 
 
 @pytest.fixture(scope="module")
@@ -105,3 +107,29 @@ def test_small_graph_flat_hierarchy():
     kids, lfs = h.query_children_leafsets(1, None)
     assert len(kids) == g.n  # single-level drawing: every leaf is a child
     assert all(len(f) == 1 for f in lfs)
+
+
+@pytest.mark.parametrize("k", [1, 0])
+def test_k_below_two_raises(k):
+    """k = 1 used to loop forever: no level can merge under a cap of 1."""
+    g = CSRGraph(4, np.array([0, 1, 2]), np.array([1, 2, 3]))
+    with pytest.raises(ValueError, match="k >= 2"):
+        build_hierarchy(g, k)
+
+
+def test_clustering_sees_every_undirected_pair(messy, monkeypatch):
+    """A directed arc u -> v with u > v and no reverse arc still reaches
+    Louvain+, as the pair (v, u) with weight 1."""
+    seen = []
+
+    def spy(a, b, w, n, k, **kw):
+        seen.append((a.copy(), b.copy(), w.copy()))
+        return louvain_plus_level(a, b, w, n, k, **kw)
+
+    monkeypatch.setattr(supergraph, "louvain_plus_level", spy)
+    build_hierarchy(messy, 10, seed=0)
+    s, d = messy.edge_array()
+    want = sorted(set(zip(np.minimum(s, d).tolist(), np.maximum(s, d).tolist())))
+    a, b, w = seen[0]
+    assert list(zip(a.tolist(), b.tolist())) == want
+    assert (w == 1.0).all()

@@ -101,13 +101,6 @@ def test_push_budget_exceeded(fbego):
         forward_push(fbego, residue, rmax=1e-8, alpha=ALPHA, budget=OpBudget(5))
 
 
-def test_max_rounds_limits(fbego):
-    residue = np.zeros(fbego.n)
-    residue[0] = fbego.out_deg[0]
-    _, _, rounds = forward_push(fbego, residue, rmax=1e-9, alpha=ALPHA, max_rounds=3)
-    assert rounds == 3
-
-
 def test_random_walks_end_distribution(fbego, fbego_exact_ppr):
     """Walk terminals from s are distributed ~ pi(s, .)."""
     rng = np.random.default_rng(0)

@@ -1,15 +1,26 @@
-"""Spark iterative dataflow == single-thread kernels (DPR, GFP/GBP, Tau-Push)."""
+"""One push kernel, two graphs: the kernels over a SparkGraph equal the
+kernels over a CSRGraph (DPR, Forward/Backward-Push, Tau-Push)."""
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.taupush import membership_arrays, taupush_query
-from repro.core.taupush_spark import push_rounds_spark, taupush_query_spark
+from repro.core.taupush import taupush_query
+from repro.core.taupush_spark import taupush_query_spark
+from repro.graphs.csr import CSRGraph
 from repro.graphs.datasets import load_dataset
+from repro.graphs.spark_graph import SparkGraph
+from repro.hierarchy import build_hierarchy
+from repro.pprlib.budget import OpBudget
 from repro.pprlib.dpr import dpr_vector_local, dpr_vector_spark
 from repro.pprlib.push import backward_push, forward_push
 
 ALPHA = 0.15
+
+
+def spark_graph(spark, g: CSRGraph) -> SparkGraph:
+    s, d = g.edge_array()
+    edges = spark.createDataFrame(pd.DataFrame({"src": s, "dst": d}))
+    return SparkGraph(edges.localCheckpoint(eager=True), g.n)
 
 
 @pytest.fixture(scope="module")
@@ -19,15 +30,21 @@ def fb(spark):
 
 
 @pytest.fixture(scope="module")
-def deg_df(spark, fb):
-    from pyspark.sql import functions as F
+def fb_spark(spark, fb):
+    _, g, edges = fb
+    return SparkGraph(edges, g.n)
 
-    _, _, edges = fb
-    return (
-        edges.groupBy(F.col("src").alias("node"))
-        .agg(F.count("*").alias("deg"))
-        .localCheckpoint(eager=True)
-    )
+
+def assert_same_push(kernel, g, sg, r0, thresh):
+    """Same rounds and ops on both graphs; est and residue within 1e-12."""
+    b_l, b_s = OpBudget(), OpBudget()
+    est_l, res_l, rounds_l = kernel(g, r0, thresh, ALPHA, budget=b_l)
+    est_s, res_s, rounds_s = kernel(sg, r0, thresh, ALPHA, budget=b_s)
+    assert rounds_s == rounds_l > 0
+    assert b_s.ops == b_l.ops > 0
+    np.testing.assert_allclose(est_s, est_l, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(res_s, res_l, rtol=0, atol=1e-12)
+    return est_l, res_l
 
 
 def test_dpr_spark_matches_local(spark, fb):
@@ -40,46 +57,18 @@ def test_dpr_spark_matches_local(spark, fb):
     np.testing.assert_allclose(vec, local, atol=1e-5)
 
 
-def test_forward_push_spark_matches_local(spark, fb, deg_df):
-    d, g, edges = fb
-    src = 0
+def test_forward_push_spark_matches_local(fb, fb_spark):
+    _, g, _ = fb
     r0 = np.zeros(g.n)
-    r0[src] = g.out_deg[src]
-    est_l, res_l, _ = forward_push(g, r0, rmax=0.01, alpha=ALPHA)
-    from repro.core.taupush_spark import _residue_df
-
-    est_pdf, res_pdf = push_rounds_spark(
-        spark, edges, deg_df,
-        _residue_df(spark, np.array([src]), np.array([g.out_deg[src]])),
-        0.01, ALPHA, degree_scaled_threshold=True, backward=False,
-    )
-    est_s = np.zeros(g.n)
-    est_s[est_pdf["node"].to_numpy()] = est_pdf["est"].to_numpy()
-    res_s = np.zeros(g.n)
-    res_s[res_pdf["node"].to_numpy()] = res_pdf["r"].to_numpy()
-    np.testing.assert_allclose(est_s, est_l, atol=1e-9)
-    np.testing.assert_allclose(res_s, res_l, atol=1e-9)
+    r0[0] = g.out_deg[0]
+    assert_same_push(forward_push, g, fb_spark, r0, 0.01)
 
 
-def test_backward_push_spark_matches_local(spark, fb, deg_df):
-    d, g, edges = fb
-    tgt = 1
+def test_backward_push_spark_matches_local(fb, fb_spark):
+    _, g, _ = fb
     r0 = np.zeros(g.n)
-    r0[tgt] = 1.0
-    est_l, res_l, _ = backward_push(g, r0, rmax_b=0.01, alpha=ALPHA)
-    from repro.core.taupush_spark import _residue_df
-
-    est_pdf, res_pdf = push_rounds_spark(
-        spark, edges, deg_df,
-        _residue_df(spark, np.array([tgt]), np.array([1.0])),
-        0.01, ALPHA, degree_scaled_threshold=False, backward=True,
-    )
-    est_s = np.zeros(g.n)
-    est_s[est_pdf["node"].to_numpy()] = est_pdf["est"].to_numpy()
-    res_s = np.zeros(g.n)
-    res_s[res_pdf["node"].to_numpy()] = res_pdf["r"].to_numpy()
-    np.testing.assert_allclose(est_s, est_l, atol=1e-9)
-    np.testing.assert_allclose(res_s, res_l, atol=1e-9)
+    r0[1] = 1.0
+    assert_same_push(backward_push, g, fb_spark, r0, 0.01)
 
 
 def test_taupush_spark_matches_local(spark, fb):
@@ -98,25 +87,37 @@ def test_taupush_spark_matches_local(spark, fb):
 def test_forward_push_spark_dangling_matches_local(spark):
     """Dangling nodes 2 and 3 push in both engines: they keep alpha * r
     and send nothing."""
-    from pyspark.sql import functions as F
-
-    from repro.core.taupush_spark import _residue_df
-    from repro.graphs.csr import CSRGraph
-
-    src, dst = np.array([0, 0, 1]), np.array([1, 2, 3])
-    g = CSRGraph(4, src, dst)
-    edges = spark.createDataFrame(pd.DataFrame({"src": src, "dst": dst}))
-    deg = edges.groupBy(F.col("src").alias("node")).agg(F.count("*").alias("deg"))
+    g = CSRGraph(4, np.array([0, 0, 1]), np.array([1, 2, 3]))
     r0 = np.array([g.out_deg[0], 0.0, 0.0, 0.0])
-    est_l, res_l, _ = forward_push(g, r0, rmax=0.01, alpha=ALPHA)
-    est_pdf, res_pdf = push_rounds_spark(
-        spark, edges, deg, _residue_df(spark, np.array([0]), r0[:1]),
-        0.01, ALPHA, degree_scaled_threshold=True, backward=False,
-    )
-    est_s = np.zeros(g.n)
-    est_s[est_pdf["node"].to_numpy()] = est_pdf["est"].to_numpy()
-    res_s = np.zeros(g.n)
-    res_s[res_pdf["node"].to_numpy()] = res_pdf["r"].to_numpy()
-    assert est_l[2] > 0 and est_l[3] > 0 and res_l[2] == res_l[3] == 0
-    np.testing.assert_allclose(est_s, est_l, atol=1e-12)
-    np.testing.assert_allclose(res_s, res_l, atol=1e-12)
+    est, res = assert_same_push(forward_push, g, spark_graph(spark, g), r0, 0.01)
+    assert est[2] > 0 and est[3] > 0 and res[2] == res[3] == 0
+
+
+def assert_same_taupush(spark, g, h, queries):
+    """Same ops and GBP targets on both graphs, dppr within 1e-12."""
+    dpr = dpr_vector_local(g, ALPHA)
+    sg = spark_graph(spark, g)
+    gbp_targets = 0
+    for query in queries:
+        _, leaf_sets = h.query_children_leafsets(*query)
+        res_l = taupush_query(g, leaf_sets, dpr, ALPHA)
+        res_s = taupush_query(sg, leaf_sets, dpr, ALPHA)
+        assert res_s.ops == res_l.ops
+        assert res_s.n_gbp_targets == res_l.n_gbp_targets
+        np.testing.assert_allclose(res_s.dppr, res_l.dppr, rtol=0, atol=1e-12)
+        gbp_targets += res_l.n_gbp_targets
+    return gbp_targets
+
+
+def test_taupush_spark_graph_matches_local_messy(spark, messy):
+    """Root and one level-1 query at k = 10 on a graph with dangling and
+    isolated nodes, self-loops and repeated arcs."""
+    h = build_hierarchy(messy, 10, seed=0)
+    assert_same_taupush(spark, messy, h, [(h.n_levels + 1, None), (1, 0)])
+
+
+def test_taupush_spark_graph_matches_local_with_gbp(spark, twego):
+    """A TwEgo query whose hub child passes the tau filter, so GBP runs
+    inside Tau-Push on both graphs."""
+    h = build_hierarchy(twego, 5, seed=0)
+    assert assert_same_taupush(spark, twego, h, [(1, 1)]) == 1

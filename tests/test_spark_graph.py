@@ -1,21 +1,9 @@
 """Spark DataFrame graph ops, each oracle-checked against DuckDB SQL."""
-import numpy as np
-import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.graphs.datasets import load_dataset
-from repro.graphs.spark_graph import (
-    in_degrees,
-    level_dppr,
-    out_degrees,
-    reverse,
-    supernode_edges,
-)
+from repro.graphs.spark_graph import in_degrees, out_degrees
 from repro.oracle import assert_equivalent
-from repro.pprlib.power_iteration import exact_dppr_matrix
-
-ALPHA = 0.15
 
 
 @pytest.fixture(scope="module")
@@ -48,99 +36,3 @@ def test_degrees_match_csr(spark, fb):
     got = out_degrees(edges).toPandas().set_index("node")["out_deg"]
     for v in range(g.n):
         assert got.get(v, 0) == g.out_deg[v]
-
-
-def test_reverse_oracle(spark, fb):
-    d, edges, pdf = fb
-    assert_equivalent(
-        reverse(edges).groupBy("src", "dst").agg(F.count("*").alias("c")),
-        "SELECT dst AS src, src AS dst, COUNT(*) AS c FROM edges GROUP BY 1, 2",
-        edges=pdf,
-    )
-
-
-def test_undirected_reverse_is_identity(spark, fb):
-    """Symmetrized graphs are invariant under reversal (as multisets)."""
-    d, edges, _ = fb
-    a = edges.groupBy("src", "dst").count().toPandas()
-    b = reverse(edges).groupBy("src", "dst").count().toPandas()
-    key = lambda t: t.sort_values(["src", "dst"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(key(a), key(b))
-
-
-def test_supernode_edges_oracle(spark, fb):
-    d, edges, pdf = fb
-    rng = np.random.default_rng(0)
-    labels = rng.integers(0, 5, d.n)
-    mem_pdf = pd.DataFrame({"node": np.arange(d.n), "label": labels})
-    mem = spark.createDataFrame(mem_pdf)
-    assert_equivalent(
-        supernode_edges(edges, mem),
-        """
-        SELECT s.label AS src_label, t.label AS dst_label, COUNT(*) AS weight
-        FROM edges e
-        JOIN membership s ON e.src = s.node
-        JOIN membership t ON e.dst = t.node
-        GROUP BY 1, 2
-        """,
-        edges=pdf,
-        membership=mem_pdf,
-    )
-
-
-def test_level_dppr_oracle(spark, fb):
-    """Eq. (2) aggregation in Spark SQL == DuckDB over the same pair DPPR."""
-    d, _, _ = fb
-    g = d.csr()
-    dppr = exact_dppr_matrix(g, ALPHA)
-    rng = np.random.default_rng(1)
-    labels = rng.integers(0, 4, d.n)
-    ii, jj = np.meshgrid(np.arange(d.n), np.arange(d.n), indexing="ij")
-    pair_pdf = pd.DataFrame(
-        {"src": ii.ravel(), "dst": jj.ravel(), "dppr": dppr.ravel()}
-    )
-    mem_pdf = pd.DataFrame({"node": np.arange(d.n), "label": labels})
-    out = level_dppr(
-        spark.createDataFrame(pair_pdf), spark.createDataFrame(mem_pdf)
-    )
-    assert_equivalent(
-        out,
-        """
-        WITH sizes AS (SELECT label, COUNT(*) AS sz FROM membership GROUP BY label)
-        SELECT s.label AS src_label, t.label AS dst_label,
-               SUM(p.dppr) / (MAX(ss.sz) * MAX(ts.sz)) AS dppr
-        FROM pair_dppr p
-        JOIN membership s ON p.src = s.node
-        JOIN membership t ON p.dst = t.node
-        JOIN sizes ss ON ss.label = s.label
-        JOIN sizes ts ON ts.label = t.label
-        GROUP BY 1, 2
-        """,
-        pair_dppr=pair_pdf,
-        membership=mem_pdf,
-    )
-
-
-def test_level_dppr_matches_exact_kernel(spark, fb):
-    """Spark Eq. (2) == the local level_dppr_exact ground truth."""
-    from repro.core.pdist import level_dppr_exact
-
-    d, _, _ = fb
-    g = d.csr()
-    dppr = exact_dppr_matrix(g, ALPHA)
-    rng = np.random.default_rng(2)
-    labels = rng.integers(0, 3, d.n)
-    leaf_sets = [np.flatnonzero(labels == i) for i in range(3)]
-    expected = level_dppr_exact(dppr, leaf_sets)
-    ii, jj = np.meshgrid(np.arange(d.n), np.arange(d.n), indexing="ij")
-    pair = spark.createDataFrame(
-        pd.DataFrame({"src": ii.ravel(), "dst": jj.ravel(), "dppr": dppr.ravel()})
-    )
-    mem = spark.createDataFrame(
-        pd.DataFrame({"node": np.arange(d.n), "label": labels})
-    )
-    got = level_dppr(pair, mem).toPandas()
-    for _, row in got.iterrows():
-        assert row["dppr"] == pytest.approx(
-            expected[int(row["src_label"]), int(row["dst_label"])], abs=1e-9
-        )
