@@ -75,11 +75,6 @@ class CSRGraph:
         v = np.asarray(v, dtype=np.int64)
         return cls(n, np.concatenate([u, v]), np.concatenate([v, u]))
 
-    @classmethod
-    def from_edge_pandas(cls, n: int, pdf) -> "CSRGraph":
-        """Build from a (src, dst) pandas frame of directed arcs."""
-        return cls(n, pdf["src"].to_numpy(), pdf["dst"].to_numpy())
-
     # -- accessors --------------------------------------------------------
     def out_neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]

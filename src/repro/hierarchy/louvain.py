@@ -54,29 +54,40 @@ def louvain_plus_level(
 
     Parameters: unique undirected weighted edges ``(a, b, w)`` with
     ``a <= b`` over ``n`` nodes; cap ``k``. Returns a compacted label array
-    of length ``n`` (labels ``0..n_comm-1``); guaranteed ``n_comm < n``
-    whenever ``n > 1`` and ``k >= 2``, and every community has at most
-    ``k`` members (except a community can exceed nothing — the cap is
-    hard).
+    of length ``n`` (labels ``0..n_comm-1``). Every community has at most
+    ``k`` members (the cap is hard), and ``n_comm < n`` whenever ``n > 1``
+    and ``k >= 2``.
     """
     rng = np.random.default_rng(seed)
-    # adjacency dicts excluding self-loops
-    adj: list[dict[int, float]] = [dict() for _ in range(n)]
-    deg = np.zeros(n)
-    for x, y, ww in zip(a.tolist(), b.tolist(), w.tolist()):
-        if x == y:
-            deg[x] += 2.0 * ww
-            continue
-        adj[x][y] = adj[x].get(y, 0.0) + ww
-        adj[y][x] = adj[y].get(x, 0.0) + ww
-        deg[x] += ww
-        deg[y] += ww
-    m2 = float(deg.sum())  # = 2 * total weight
+    loop = a == b
+    # Strengths, summed edge by edge in input order; a self-loop adds 2w.
+    ends = np.column_stack([a, b]).ravel()
+    halves = np.column_stack([np.where(loop, 2.0 * w, w), np.where(loop, 0.0, w)])
+    deg_arr = np.bincount(ends, weights=halves.ravel(), minlength=n)
+    m2 = float(deg_arr.sum())  # = 2 * total weight
     if m2 == 0:
         m2 = 1.0
-    labels = np.arange(n)
-    comm_deg = deg.copy()
-    comm_size = np.ones(n, dtype=np.int64)
+    # Adjacency without self-loops: both directions, sorted by (node, neighbour).
+    off = ~loop
+    src = np.concatenate([a[off], b[off]])
+    dst = np.concatenate([b[off], a[off]])
+    by_node = np.lexsort((dst, src))
+    nbr = dst[by_node].tolist()
+    nbr_w = np.concatenate([w[off], w[off]])[by_node].tolist()
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))]).tolist()
+    adj = [
+        (nbr[ptr[x] : ptr[x + 1]], nbr_w[ptr[x] : ptr[x + 1]]) for x in range(n)
+    ]
+    # The per-node state is Python lists: the move loop reads it one scalar
+    # at a time, which is several times faster on lists than on numpy
+    # arrays. Neighbours are visited in ascending id because the visit
+    # order decides ties between equal gains (the first maximum wins), and
+    # ascending id is the order in which edges sorted by (a, b), as
+    # build_hierarchy and contract pass them, first mention each neighbour.
+    deg = deg_arr.tolist()
+    labels = list(range(n))
+    comm_deg = list(deg)
+    comm_size = [1] * n
 
     def best_move(node: int, force: bool) -> int:
         """Best target community for ``node`` (or -1). ``force`` ignores
@@ -84,7 +95,7 @@ def louvain_plus_level(
         c0 = labels[node]
         # weights to neighbor communities
         wc: dict[int, float] = {}
-        for nb, ww in adj[node].items():
+        for nb, ww in zip(*adj[node]):
             cn = labels[nb]
             wc[cn] = wc.get(cn, 0.0) + ww
         w_own = wc.pop(c0, 0.0)
@@ -95,16 +106,17 @@ def louvain_plus_level(
             # (no ties into its own) -> merge outright
             (tgt, _), = wc.items()
             if comm_size[tgt] + 1 <= k:
-                return int(tgt)
+                return tgt
             return -1
-        base = w_own - deg[node] * (comm_deg[c0] - deg[node]) / m2
+        d = deg[node]
+        base = w_own - d * (comm_deg[c0] - d) / m2
         best, best_gain = -1, 0.0 if not force else -np.inf
         for tgt, wt in wc.items():
             if comm_size[tgt] + 1 > k:
                 continue
-            gain = (wt - deg[node] * comm_deg[tgt] / m2) - base
+            gain = (wt - d * comm_deg[tgt] / m2) - base
             if gain > best_gain:
-                best, best_gain = int(tgt), gain
+                best, best_gain = tgt, gain
         return best
 
     def apply_move(node: int, tgt: int) -> None:
@@ -115,42 +127,46 @@ def louvain_plus_level(
         comm_deg[tgt] += deg[node]
         comm_size[tgt] += 1
 
-    order = rng.permutation(n)
+    order = rng.permutation(n).tolist()
     for _ in range(max_passes):
         moved = 0
         for node in order:
-            if comm_size[labels[node]] > 1 and len(adj[node]) == 0:
+            if comm_size[labels[node]] > 1 and not adj[node][0]:
                 continue
-            tgt = best_move(int(node), force=False)
+            tgt = best_move(node, force=False)
             if tgt >= 0 and tgt != labels[node]:
-                apply_move(int(node), tgt)
+                apply_move(node, tgt)
                 moved += 1
         if moved == 0:
             break
 
-    if len(np.unique(labels)) == n and n > 1:
+    if len(set(labels)) == n and n > 1:
         # Stalled: force-merge singletons into best neighbor community
         # (or pair up isolated nodes) so the hierarchy keeps coarsening.
+        # Nodes only ever leave singleton communities here, so the lowest
+        # singleton id only grows: one forward scan finds every pick.
+        def next_singleton(x: int) -> int:
+            while x < n and comm_size[labels[x]] != 1:
+                x += 1
+            return x
+
+        low = 0  # no node below ``low`` is still a singleton
         for node in order:
             if comm_size[labels[node]] != 1:
                 continue
-            tgt = best_move(int(node), force=True)
+            tgt = best_move(node, force=True)
             if tgt < 0:
-                # no connected option under the cap: pair with another
-                # singleton (disconnected components end up grouped).
-                others = np.flatnonzero(
-                    (comm_size[labels] == 1) & (labels != labels[node])
-                )
-                if len(others) == 0:
+                # no connected option under the cap: pair with the lowest
+                # other singleton (disconnected components end up grouped).
+                low = next_singleton(low)
+                other = low if low != node else next_singleton(low + 1)
+                if other == n:
                     continue
-                tgt = int(labels[others[0]])
-                if comm_size[tgt] + 1 > k:
-                    continue
-            if tgt != labels[node]:
-                apply_move(int(node), tgt)
+                tgt = labels[other]
+            apply_move(node, tgt)
 
     # compact labels
-    uniq, compact = np.unique(labels, return_inverse=True)
+    _, compact = np.unique(labels, return_inverse=True)
     return compact.astype(np.int64)
 
 

@@ -111,18 +111,18 @@ def random_walks(
     rng: np.random.Generator,
     *,
     budget: OpBudget | None = None,
-    max_len: int = 200,
 ) -> np.ndarray:
     """Terminal nodes of alpha-restart random walks from ``starts`` (batched).
 
     Each walk terminates at its current node with probability alpha per
-    step (the RWR of §3.1); walks from dangling nodes stop in place.
-    Charges one op per walk step.
+    step (the RWR of §3.1); walks from dangling nodes stop in place. Runs
+    until every walk has stopped, so no walk is cut short. Charges one op
+    per walk step.
     """
     budget = budget or OpBudget()
     cur = np.asarray(starts, dtype=np.int64).copy()
     done = np.zeros(len(cur), dtype=bool)
-    for _ in range(max_len):
+    while True:
         alive = np.flatnonzero(~done)
         if len(alive) == 0:
             break

@@ -3,15 +3,25 @@
 Session-scoped and cached: the exact PPR/DPPR matrices are the ground
 truth most kernel tests compare against. The Spark fixture comes from the
 repo-root conftest.
+
+Property tests run under one ``hypothesis`` profile: derandomized (every
+run draws the same examples), no example database, no per-example
+deadline (a slow machine cannot flake them) and a fixed example count.
 """
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.graphs.csr import CSRGraph
 from repro.graphs.datasets import load_dataset
 from repro.pprlib.power_iteration import exact_dppr_matrix, exact_ppr_matrix
 
 ALPHA = 0.15
+
+settings.register_profile(
+    "repro", derandomize=True, database=None, deadline=None, max_examples=60
+)
+settings.load_profile("repro")
 
 
 @pytest.fixture(scope="session")

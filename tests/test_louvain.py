@@ -1,9 +1,15 @@
 """Louvain+ clustering tests (paper Appendix A.1)."""
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.graphs import generators as gen
+from repro.graphs.csr import CSRGraph
+from repro.graphs.datasets import SMALL_GRAPHS, load_dataset
+from repro.hierarchy import build_hierarchy, supergraph
 from repro.hierarchy.louvain import contract, louvain_plus_level, modularity
+from tests.louvain_reference import louvain_plus_level as reference_level
 
 
 def _two_cliques():
@@ -93,3 +99,53 @@ def test_contract_self_loops_carry_internal_weight():
     ca, cb, cw, cn = contract(a, b, w, labels)
     self_w = cw[ca == cb].sum()
     assert self_w == 20.0  # 2 cliques x 10 internal edges
+
+
+@st.composite
+def _weighted_graphs(draw):
+    """Unique undirected edges a <= b sorted by (a, b), as the hierarchy
+    passes them: self-loops allowed, isolated nodes likely at this density."""
+    n = draw(st.integers(1, 30))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2 * n))
+    keys = np.unique(np.array([min(p) * n + max(p) for p in pairs], dtype=np.int64))
+    weight = st.sampled_from([1.0, 2.0]) | st.floats(0.25, 4.0)
+    w = np.array(draw(st.lists(weight, min_size=len(keys), max_size=len(keys))))
+    a, b = np.divmod(keys, n)
+    return a, b, w, n
+
+
+@given(_weighted_graphs(), st.integers(0, 3))
+def test_level_matches_reference(graph, seed):
+    """Same labels as the reference level, ties and float sums included."""
+    a, b, w, n = graph
+    for k in (2, 3, 5, 25):
+        np.testing.assert_array_equal(
+            louvain_plus_level(a, b, w, n, k, seed=seed),
+            reference_level(a, b, w, n, k, seed=seed),
+        )
+
+
+def _hierarchies_match(g, k, monkeypatch):
+    built = []
+    for level_fn in (louvain_plus_level, reference_level):
+        monkeypatch.setattr(supergraph, "louvain_plus_level", level_fn)
+        built.append(build_hierarchy(g, k, seed=0).leaf_labels)
+    new, ref = built
+    assert len(new) == len(ref)
+    for lab_new, lab_ref in zip(new, ref):
+        np.testing.assert_array_equal(lab_new, lab_ref)
+
+
+@pytest.mark.parametrize("k", [5, 10, 25])
+@pytest.mark.parametrize("name", SMALL_GRAPHS + ["messy"])
+def test_hierarchy_matches_reference(name, k, request, monkeypatch):
+    g = request.getfixturevalue("messy") if name == "messy" else load_dataset(name).csr()
+    _hierarchies_match(g, k, monkeypatch)
+
+
+def test_isolated_heavy_hierarchy_matches_reference(monkeypatch):
+    """Three arcs among 8,000 nodes: almost every level runs the stall
+    branch, which pairs each unattachable singleton with the lowest other."""
+    g = CSRGraph(8000, np.array([0, 1, 2]), np.array([1, 2, 3]))
+    _hierarchies_match(g, 25, monkeypatch)

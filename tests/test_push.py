@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import csr as csr_mod
+from repro.graphs.csr import CSRGraph
 from repro.pprlib.budget import OpBudget, OpBudgetExceeded
 from repro.pprlib.push import backward_push, forward_push, random_walks
 
@@ -115,6 +116,20 @@ def test_random_walks_budget(fbego):
     b = OpBudget()
     random_walks(fbego, np.zeros(100, dtype=np.int64), ALPHA, rng, budget=b)
     assert b.ops >= 100  # at least one step per walk
+
+
+def test_random_walks_run_until_stopped():
+    """A walk's length is geometric with mean 1/alpha; none is truncated.
+
+    On a dangling-free cycle at alpha = 0.005 a 200-step cap would charge
+    (1 - 0.995**200) / 0.005 ~ 126 ops per walk instead of 200.
+    """
+    n, alpha, walks = 10, 0.005, 4000
+    cycle = CSRGraph(n, np.arange(n), (np.arange(n) + 1) % n)
+    b = OpBudget()
+    random_walks(cycle, np.zeros(walks, dtype=np.int64), alpha,
+                 np.random.default_rng(0), budget=b)
+    assert b.ops / walks == pytest.approx(1 / alpha, rel=0.05)
 
 
 # shares of m that force every propagate round onto one path
