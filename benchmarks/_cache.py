@@ -24,8 +24,16 @@ RESULTS_PATH = Path(__file__).with_name("measured_tables.txt")
 def print_table(title: str, df) -> None:
     """Emit a measured table to stdout AND benchmarks/measured_tables.txt
     (pytest captures stdout by default, so the file is the durable copy
-    EXPERIMENTS.md quotes)."""
-    block = f"\n=== {title} ===\n{df.to_string()}\n"
+    EXPERIMENTS.md quotes). A re-run replaces the block with the same
+    title in place; a new title is appended."""
+    head = f"\n=== {title} ===\n"
+    block = f"{head}{df.to_string()}\n"
     print(block, end="")
-    with RESULTS_PATH.open("a") as f:
-        f.write(block)
+    text = RESULTS_PATH.read_text() if RESULTS_PATH.exists() else ""
+    start = text.find(head)
+    if start < 0:
+        text += block
+    else:
+        end = text.find("\n=== ", start + len(head))
+        text = text[:start] + block + (text[end:] if end >= 0 else "")
+    RESULTS_PATH.write_text(text)

@@ -17,8 +17,7 @@ from repro.core.pdist import pdist_matrix
 from repro.core.taupush import TauPushResult, eps_delta, membership_arrays
 from repro.graphs.csr import CSRGraph
 from repro.pprlib.budget import OpBudget
-from repro.pprlib.fora import WalkIndex, fora_omega_W
-from repro.pprlib.push import random_walks
+from repro.pprlib.fora import WalkIndex, fora_omega_W, residue_walks
 
 
 def gfra_query(
@@ -28,7 +27,6 @@ def gfra_query(
     *,
     eps: float | None = None,
     delta: float | None = None,
-    p_f: float | None = None,
     rng: np.random.Generator | None = None,
     budget: OpBudget | None = None,
     walk_index: WalkIndex | None = None,
@@ -37,10 +35,9 @@ def gfra_query(
     """All-pair approximate level-l DPPR/PDist in S by GFRA."""
     k = len(leaf_sets)
     eps, delta = eps_delta(k, eps, delta)
-    p_f = p_f or 1.0 / max(2, g.n)
     rng = rng or np.random.default_rng(0)
     budget = budget or OpBudget()
-    W = fora_omega_W(eps, delta, p_f)
+    W = fora_omega_W(eps, delta, g.n)
     gamma = max(1, min(len(fs) for fs in leaf_sets)) if k else 1
     avg_deg_sum = sum(g.out_deg[fs].mean() for fs in leaf_sets if len(fs))
     rmax = math.sqrt(max(avg_deg_sum, 1e-12) * gamma / (g.m * W))
@@ -51,12 +48,7 @@ def gfra_query(
         r_sum = float(r.sum())
         if r_sum > 0:
             omega = min(omega_cap, max(1, int(math.ceil(r_sum / gamma * W))))
-            starts = rng.choice(g.n, size=omega, p=r / r_sum)
-            if walk_index is not None:
-                ends = walk_index.lookup(starts, rng)
-                budget.charge(omega)
-            else:
-                ends = random_walks(g, starts, alpha, rng, budget=budget)
+            ends = residue_walks(g, r, r_sum, omega, alpha, rng, budget, walk_index)
             lab = member[ends]
             hit = lab >= 0
             np.add.at(

@@ -33,8 +33,8 @@ class Hierarchy:
     n: int
     k: int
     leaf_labels: list = field(repr=False)  # list[np.ndarray]
-    _order: list = field(default=None, repr=False)
-    _bounds: list = field(default=None, repr=False)
+    _order: list = field(init=False, repr=False)
+    _bounds: list = field(init=False, repr=False)
 
     def __post_init__(self):
         # argsort per level for O(1) leaf-set slicing

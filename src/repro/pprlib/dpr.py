@@ -7,9 +7,9 @@ s = d/m (paper §4.3 "setting the k-th entry in the initial global PageRank
 as d(v_k)/m"). For a supernode V_j, tau_j is the mean of tau_t over its
 leaves (Eq. (4) after the same algebra).
 
-One power iteration, :func:`dpr_vector_local`, computes it on either
-engine: over a CSRGraph for the single-thread kernels and the index
-builder, and over a SparkGraph in :func:`dpr_vector_spark`, the
+:func:`dpr_vector_local` runs the PI competitor's power iteration from
+d/m on either engine: over a CSRGraph for the single-thread kernels and
+the index builder, and over a SparkGraph in :func:`dpr_vector_spark`, the
 distributed preprocessing path, where each step is a Spark join of the
 mass vector with the arc list. Tests assert the two agree.
 """
@@ -21,29 +21,19 @@ from pyspark.sql import DataFrame
 
 from repro.graphs.csr import CSRGraph
 from repro.graphs.spark_graph import SparkGraph
+from repro.pprlib.power_iteration import power_iteration
 
 
 def dpr_vector_local(
     g: CSRGraph, alpha: float, *, tol: float = 1e-12, max_iter: int = 300
 ) -> np.ndarray:
-    """DPR vector over leaves by power iteration; sums to ~1.
+    """DPR vector over leaves: :func:`power_iteration` from d/m; sums to ~1.
 
-    Stops once the remaining walk mass (1 - alpha)^i drops below ``tol``
-    or after ``max_iter`` propagations. Runs on any graph with ``n``,
-    ``m``, ``out_deg`` and ``propagate`` (a CSRGraph or a SparkGraph).
+    Runs on any graph with ``n``, ``m``, ``out_deg`` and ``propagate`` (a
+    CSRGraph or a SparkGraph).
     """
-    nodes = np.arange(g.n)
-    deg = np.maximum(g.out_deg, 1.0)
-    x = g.out_deg / max(1.0, float(g.m))
-    pi = alpha * x
-    weight = 1.0
-    for _ in range(max_iter):
-        if weight < tol:
-            break
-        x, _ = g.propagate(nodes, x / deg)
-        weight *= 1.0 - alpha
-        pi += alpha * weight * x
-    return pi
+    x0 = g.out_deg / max(1.0, float(g.m))
+    return power_iteration(g, x0, alpha, tol=tol, max_iter=max_iter)
 
 
 def dpr_vector_spark(

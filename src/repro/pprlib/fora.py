@@ -4,7 +4,8 @@ FORA's two phases (paper §3.3 / Appendix A.2): Forward-Push with
 rmax = sqrt(d(s)/(m W)), then omega = r_sum * W random walks sampled from
 the residue distribution to estimate the error term of Eq. (3). With the
 initial residue r(s) = d(s) the returned vector is DPPR pi_d(s, .), and it
-is an (eps, delta)-approximation w.p. >= 1 - p_f.
+is an (eps, delta)-approximation w.p. >= 1 - p_f, with p_f = 1/n. GFRA
+(``repro.core.gfra``) reuses the walk phase, :func:`residue_walks`.
 
 FORA+ is FORA with the random walks *pre-stored* per node (the walk index
 of Table 9/10): at query time a walk is one array lookup instead of
@@ -21,9 +22,26 @@ from repro.pprlib.budget import OpBudget
 from repro.pprlib.push import forward_push, random_walks
 
 
-def fora_omega_W(eps: float, delta: float, p_f: float) -> float:
-    """W = (2 + 2 eps/3) * ln(1/p_f) / (eps^2 delta) (Appendix A.2)."""
+def fora_omega_W(eps: float, delta: float, n: int) -> float:
+    """W = (2 + 2 eps/3) * ln(1/p_f) / (eps^2 delta) (Appendix A.2), with
+    the paper's failure probability p_f = 1/n on an n-node graph."""
+    p_f = 1.0 / max(2, n)
     return (2.0 + 2.0 * eps / 3.0) * math.log(1.0 / p_f) / (eps * eps * delta)
+
+
+def residue_walks(
+    g: CSRGraph, r: np.ndarray, r_sum: float, omega: int, alpha: float,
+    rng: np.random.Generator, budget: OpBudget, walk_index: "WalkIndex | None",
+) -> np.ndarray:
+    """FORA's walk phase: end nodes of ``omega`` walks whose starts are
+    drawn from the residue distribution r / r_sum. Each walk is read from
+    ``walk_index`` (one op) when given, else walked live."""
+    starts = rng.choice(g.n, size=omega, p=r / r_sum)
+    if walk_index is None:
+        return random_walks(g, starts, alpha, rng, budget=budget)
+    ends = walk_index.lookup(starts, rng)
+    budget.charge(omega)
+    return ends
 
 
 def fora_single_source(
@@ -33,7 +51,6 @@ def fora_single_source(
     eps: float,
     delta: float,
     *,
-    p_f: float | None = None,
     rng: np.random.Generator | None = None,
     budget: OpBudget | None = None,
     walk_index: "WalkIndex | None" = None,
@@ -41,8 +58,7 @@ def fora_single_source(
     """Single-source DPPR by FORA (or FORA+ when ``walk_index`` given)."""
     budget = budget or OpBudget()
     rng = rng or np.random.default_rng(0)
-    p_f = p_f or 1.0 / max(2, g.n)
-    W = fora_omega_W(eps, delta, p_f)
+    W = fora_omega_W(eps, delta, g.n)
     d_s = max(1.0, g.out_deg[source])
     rmax = math.sqrt(d_s / (g.m * W))
     residue = np.zeros(g.n)
@@ -52,13 +68,7 @@ def fora_single_source(
     if r_sum <= 0:
         return est
     omega = max(1, int(math.ceil(r_sum * W)))
-    probs = r / r_sum
-    starts = rng.choice(g.n, size=omega, p=probs)
-    if walk_index is not None:
-        ends = walk_index.lookup(starts, rng)
-        budget.charge(len(starts))  # one op per indexed walk
-    else:
-        ends = random_walks(g, starts, alpha, rng, budget=budget)
+    ends = residue_walks(g, r, r_sum, omega, alpha, rng, budget, walk_index)
     np.add.at(est, ends, r_sum / omega)
     return est
 
@@ -72,10 +82,9 @@ class WalkIndex:
     """
 
     def __init__(self, g: CSRGraph, alpha: float, eps: float, delta: float,
-                 *, p_f: float | None = None, seed: int = 0,
-                 per_node_cap: int = 64, budget: OpBudget | None = None):
-        p_f = p_f or 1.0 / max(2, g.n)
-        W = fora_omega_W(eps, delta, p_f)
+                 *, seed: int = 0, per_node_cap: int = 64,
+                 budget: OpBudget | None = None):
+        W = fora_omega_W(eps, delta, g.n)
         rmax_g = math.sqrt(1.0 / (g.m * W))
         rng = np.random.default_rng(seed)
         counts = np.ceil(g.out_deg * rmax_g * W).astype(np.int64)

@@ -3,9 +3,11 @@
 * :func:`exact_ppr_matrix` — closed-form all-pairs PPR for small graphs
   (the ground truth every approximate kernel is tested against, and the
   single-level PDist source for the quality tables, n <= 1.5K).
-* :func:`ppr_single_source_pi` — the PI competitor: iterate to absolute
-  error < 1e-9 (paper §3.3, "the precision of float"), charging O(m) ops
-  per iteration to the budget.
+* :func:`power_iteration` — the one power-iteration loop; the DPR vector
+  (``repro.pprlib.dpr``) starts it from d/m, and
+  :func:`ppr_single_source_pi`, the PI competitor, from e_s, iterating
+  to absolute error < 1e-9 (paper §3.3, "the precision of float") and
+  charging O(m) ops per iteration to the budget.
 """
 from __future__ import annotations
 
@@ -31,6 +33,37 @@ def exact_dppr_matrix(g: CSRGraph, alpha: float) -> np.ndarray:
     return exact_ppr_matrix(g, alpha) * g.out_deg[:, None]
 
 
+def power_iteration(
+    g: CSRGraph,
+    x0: np.ndarray,
+    alpha: float,
+    *,
+    tol: float,
+    max_iter: int = 300,
+    budget: OpBudget | None = None,
+) -> np.ndarray:
+    """pi = alpha * sum_t (1-alpha)^t x_t with x_{t+1} = P^T x_t.
+
+    Stops once the remaining walk mass (1 - alpha)^t drops below ``tol``
+    or after ``max_iter`` propagations. Runs on any graph with ``n``,
+    ``out_deg`` and ``propagate``; charges the arcs of each propagation.
+    """
+    budget = budget or OpBudget()
+    nodes = np.arange(g.n)
+    deg = np.maximum(g.out_deg, 1.0)
+    x = x0
+    pi = alpha * x
+    weight = 1.0
+    for _ in range(max_iter):
+        if weight < tol:
+            break
+        x, arcs = g.propagate(nodes, x / deg)
+        budget.charge(arcs)
+        weight *= 1.0 - alpha
+        pi += alpha * weight * x
+    return pi
+
+
 def ppr_single_source_pi(
     g: CSRGraph,
     source: int,
@@ -39,24 +72,8 @@ def ppr_single_source_pi(
     tol: float = 1e-9,
     budget: OpBudget | None = None,
 ) -> np.ndarray:
-    """Single-source PPR by power iteration (the paper's PI baseline).
-
-    Iterates pi_{t+1} = alpha*e_s + (1-alpha) P^T-propagation of pi_t's
-    residual mass until the remaining mass < ``tol``. Charges m ops per
-    iteration. Returns the PPR vector pi(source, .).
-    """
-    budget = budget or OpBudget()
-    nodes = np.arange(g.n)
-    deg = np.maximum(g.out_deg, 1.0)
-    # Propagate the probability mass of the *current step* distribution:
-    # pi = alpha * sum_t (1-alpha)^t x_t with x_0 = e_s, x_{t+1} = P^T x_t.
-    x = np.zeros(g.n)
-    x[source] = 1.0
-    pi = np.zeros(g.n)
-    weight = 1.0
-    while weight > tol:
-        pi += alpha * weight * x
-        x, arcs = g.propagate(nodes, x / deg)
-        weight *= 1.0 - alpha
-        budget.charge(arcs)
-    return pi
+    """The PPR vector pi(source, .) by :func:`power_iteration` from e_s
+    (the paper's PI baseline); charges m ops per iteration."""
+    x0 = np.zeros(g.n)
+    x0[source] = 1.0
+    return power_iteration(g, x0, alpha, tol=tol, budget=budget)

@@ -2,8 +2,10 @@
 
 Frontier-synchronous formulation: every node above its threshold pushes in
 the same round. The push invariant (paper Eq. (3)) holds under *any* push
-schedule, so batching preserves correctness. This is the only copy of the
-push rule: each round is one ``g.propagate`` call, and ``g`` is either a
+schedule, so batching preserves correctness. Both kernels run one loop,
+the only copy of the push rule; they differ only in the threshold, the
+arc direction and where the out-degree divides. Each round is one
+``g.propagate`` call, and ``g`` is either a
 :class:`~repro.graphs.csr.CSRGraph` (expands a small frontier, sweeps the
 whole arc list for a large one) or a
 :class:`~repro.graphs.spark_graph.SparkGraph` (one Spark superstep). The
@@ -49,26 +51,9 @@ def forward_push(
     estimate accumulates alpha * pushed-residue per node (DPPR scale if the
     seed residues are degree-scaled). Charges one op per touched arc.
     """
-    budget = budget or OpBudget()
-    r = np.asarray(residue, dtype=np.float64).copy()
-    est = np.zeros(g.n)
-    thresh = g.out_deg * rmax
-    # a dangling node (deg 0) sends along no arc, so the clamp only keeps
-    # the division finite
-    deg = np.maximum(g.out_deg, 1.0)
-    rounds = 0
-    while True:
-        active = np.flatnonzero(r > np.maximum(thresh, 1e-300))
-        if len(active) == 0:
-            break
-        ra = r[active]
-        est[active] += alpha * ra
-        received, arcs = g.propagate(active, (1.0 - alpha) * ra / deg[active])
-        budget.charge(arcs)
-        r[active] = 0.0
-        r += received
-        rounds += 1
-    return est, r, rounds
+    # the floor makes a dangling node (threshold 0) push only a positive r
+    thresh = np.maximum(g.out_deg * rmax, 1e-300)
+    return _push(g, residue, thresh, alpha, budget, reverse=False)
 
 
 def backward_push(
@@ -84,22 +69,32 @@ def backward_push(
     Returns (estimate, final residue, rounds); estimate[s] approximates
     pi(s, t) for seed target(s) t. Charges one op per touched arc.
     """
+    return _push(g, residue, rmax_b, alpha, budget, reverse=True)
+
+
+def _push(g, residue, thresh, alpha, budget, *, reverse):
+    """The push loop of both kernels; ``reverse`` pushes along in-arcs and
+    divides the received sums, not the sent values, by the out-degree."""
     budget = budget or OpBudget()
     r = np.asarray(residue, dtype=np.float64).copy()
     est = np.zeros(g.n)
-    # only nodes with an out-arc receive, so the clamp never changes a sum
+    # a dangling node sends along no arc and receives nothing backward, so
+    # the clamp only keeps the division finite
     deg = np.maximum(g.out_deg, 1.0)
     rounds = 0
     while True:
-        active = np.flatnonzero(r > rmax_b)
+        active = np.flatnonzero(r > thresh)
         if len(active) == 0:
             break
         ra = r[active]
         est[active] += alpha * ra
-        received, arcs = g.propagate(active, (1.0 - alpha) * ra, reverse=True)
+        sent = (1.0 - alpha) * ra
+        if not reverse:
+            sent /= deg[active]
+        received, arcs = g.propagate(active, sent, reverse=reverse)
         budget.charge(arcs)
         r[active] = 0.0
-        r += received / deg
+        r += received / deg if reverse else received
         rounds += 1
     return est, r, rounds
 

@@ -27,7 +27,6 @@ def resacc_single_source(
     delta: float,
     *,
     budget: OpBudget | None = None,
-    push_rmax: float | None = None,
 ) -> np.ndarray:
     """Single-source DPPR by push + residue-accumulation sweeps.
 
@@ -39,9 +38,9 @@ def resacc_single_source(
     budget = budget or OpBudget()
     residue = np.zeros(g.n)
     residue[source] = g.out_deg[source]
-    rmax = push_rmax if push_rmax is not None else eps * delta / max(1, g.m)
+    rmax = max(eps * delta / max(1, g.m), 1e-9)
     # phase 1: localized push with a moderate threshold
-    est, r, _ = forward_push(g, residue, max(rmax, 1e-9), alpha, budget=budget)
+    est, r, _ = forward_push(g, residue, rmax, alpha, budget=budget)
     # phase 2: accumulation sweeps — propagate *all* remaining residue
     nodes = np.arange(g.n)
     deg = np.maximum(g.out_deg, 1.0)

@@ -21,6 +21,7 @@ import pandas as pd
 from repro.core.pdist import level_dppr_exact, pdist_matrix
 from repro.core.taupush import taupush_query
 from repro.graphs.datasets import load_dataset
+from repro.hierarchy.louvain import contract
 from repro.hierarchy.supergraph import build_hierarchy
 from repro.layout.stress import stress_majorization
 from repro.metrics import all_metrics
@@ -43,14 +44,9 @@ class StudyGroup:
 def _supergraph_edges(g, labels):
     """Undirected supergraph edges between top-level supernodes."""
     s, d = g.edge_array()
-    ls, ld = labels[s], labels[d]
-    keep = ls != ld
-    lo = np.minimum(ls[keep], ld[keep])
-    hi = np.maximum(ls[keep], ld[keep])
-    key = lo * (int(labels.max()) + 1) + hi
-    uniq = np.unique(key)
-    base = int(labels.max()) + 1
-    return uniq // base, uniq % base
+    a, b, _, _ = contract(s, d, np.ones(len(s)), labels)
+    keep = a != b
+    return a[keep], b[keep]
 
 
 def build_groups(

@@ -20,7 +20,7 @@ def _check_eps_delta(est, exact, eps, delta, frac=0.9):
 
 
 def test_fora_omega_formula():
-    W = fora_omega_W(0.5, 0.1, 0.01)
+    W = fora_omega_W(0.5, 0.1, 100)  # p_f = 1/n = 0.01
     assert W == pytest.approx((2 + 2 * 0.5 / 3) * math.log(100) / (0.25 * 0.1))
 
 

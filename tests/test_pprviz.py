@@ -79,3 +79,12 @@ def test_preprocess_without_gbp():
     m.index = TauPushIndex(leaf_dpr=m.index.leaf_dpr)
     X = m.query(m.hierarchy.n_levels + 1, None)
     assert np.isfinite(X).all()
+
+
+def test_youtube_bench_op_counts():
+    """The op counts the benchmark quotes for the Youtube analog at k = 25;
+    any change to the push, the index or the hierarchy moves them."""
+    m = preprocess(load_dataset("Youtube").csr(), 25)
+    _, res = m.query(m.hierarchy.n_levels + 1, None, return_result=True)
+    assert m.index.build_ops == 80_623_377
+    assert res.ops == 15_330_166
