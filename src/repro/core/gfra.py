@@ -30,7 +30,6 @@ def gfra_query(
     rng: np.random.Generator | None = None,
     budget: OpBudget | None = None,
     walk_index: WalkIndex | None = None,
-    omega_cap: int = 2_000_000,
 ) -> TauPushResult:
     """All-pair approximate level-l DPPR/PDist in S by GFRA."""
     k = len(leaf_sets)
@@ -47,7 +46,7 @@ def gfra_query(
         est_i, r = gfp(g, fs, member, sizes, rmax, alpha, budget=budget)
         r_sum = float(r.sum())
         if r_sum > 0:
-            omega = min(omega_cap, max(1, int(math.ceil(r_sum / gamma * W))))
+            omega = max(1, int(math.ceil(r_sum / gamma * W)))
             ends = residue_walks(g, r, r_sum, omega, alpha, rng, budget, walk_index)
             lab = member[ends]
             hit = lab >= 0

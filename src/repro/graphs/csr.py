@@ -150,11 +150,11 @@ class CSRGraph:
 
 
 def _slice_concat(indptr: np.ndarray, nodes: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Indices selecting CSR slices of ``nodes``, concatenated, no python loop."""
+    """Indices selecting CSR slices of ``nodes``, concatenated, no python loop.
+
+    Arc t of the result lies in block b at offset t - block_starts[b], so
+    its index is (indptr[nodes[b]] - block_starts[b]) + t: one repeat.
+    """
+    block_starts = np.cumsum(counts) - counts
     total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = indptr[nodes]
-    offs = np.arange(total, dtype=np.int64)
-    block_starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    return starts.repeat(counts) + (offs - block_starts.repeat(counts))
+    return np.repeat(indptr[nodes] - block_starts, counts) + np.arange(total, dtype=np.int64)

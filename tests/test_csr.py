@@ -1,6 +1,8 @@
 """CSR adjacency kernel unit tests."""
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.graphs import csr as csr_mod
 from repro.graphs.csr import CSRGraph
@@ -157,3 +159,30 @@ def test_propagate_arcless_graph(share, monkeypatch):
         sums, arcs = g.propagate(np.arange(4), np.ones(4), reverse=reverse)
         assert arcs == 0
         assert sums.dtype == np.float64 and np.array_equal(sums, np.zeros(4))
+
+
+def _slice_concat_reference(indptr, nodes, counts):
+    """The two-repeat formula ``_slice_concat`` replaced."""
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    starts = indptr[nodes]
+    offs = np.arange(total, dtype=np.int64)
+    block_starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    return starts.repeat(counts) + (offs - block_starts.repeat(counts))
+
+
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=12), st.data())
+def test_slice_concat_matches_reference(degrees, data):
+    """Same int64 indices as the old formula, for frontiers with
+    zero-degree nodes, repeats and the empty frontier."""
+    indptr = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
+    nodes = np.array(
+        data.draw(st.lists(st.integers(0, len(degrees) - 1), max_size=10)),
+        dtype=np.int64,
+    )
+    counts = np.diff(indptr)[nodes]
+    idx = csr_mod._slice_concat(indptr, nodes, counts)
+    ref = _slice_concat_reference(indptr, nodes, counts)
+    assert idx.dtype == ref.dtype == np.int64
+    assert np.array_equal(idx, ref)
