@@ -25,15 +25,13 @@ def gfra_query(
     leaf_sets: list[np.ndarray],
     alpha: float,
     *,
-    eps: float | None = None,
-    delta: float | None = None,
     rng: np.random.Generator | None = None,
     budget: OpBudget | None = None,
     walk_index: WalkIndex | None = None,
 ) -> TauPushResult:
     """All-pair approximate level-l DPPR/PDist in S by GFRA."""
     k = len(leaf_sets)
-    eps, delta = eps_delta(k, eps, delta)
+    eps, delta = eps_delta(k)
     rng = rng or np.random.default_rng(0)
     budget = budget or OpBudget()
     W = fora_omega_W(eps, delta, g.n)

@@ -1,21 +1,20 @@
 """Tau-Push indexing scheme (paper §4.3).
 
-The index holds (i) the n-entry DPR vector and (ii) precomputed GBP results
-for every supernode — at any hierarchy level — whose DPR exceeds
-tau = 1/sqrt(k n). The paper's index is O(n + k sqrt(k n)) because a GBP
-result is stored only w.r.t. O(k) *source supernodes*: in the hierarchy, a
-query that contains target V_j as a child always has S = the children of
-V_j's parent, i.e. V_j's siblings. So the stored entry for (level, sup) is
-the aggregated DPPR column over exactly those siblings, computed with the
-query's own Eq. (6) rmax_b (which is determined by the sibling set).
+The index holds (i) the n-entry DPR vector and (ii) precomputed GBP
+columns. In the hierarchy, a query that contains V_j as a child always has
+S = the children of V_j's parent, i.e. V_j's siblings, so Algorithm 1
+refines V_j exactly when its DPR tau_j exceeds that query's
+tau = 1/sqrt(|S| n). The build stores (level, sup) under that same rule,
+with |S| the size of sup's sibling set: every stored column is read by the
+one query that contains it, and every GBP target of a hierarchy query is
+stored. The entry is the aggregated DPPR column over exactly those
+siblings, computed with the query's own Eq. (6) rmax_b. Because
+|S| <= k, the index stays O(n + k sqrt(k n)).
 
 ``nbytes`` feeds Table 10.
 """
 from __future__ import annotations
 
-import contextlib
-import functools
-import math
 import multiprocessing as mp
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -76,19 +75,30 @@ def _siblings(h: Hierarchy, level: int, sup: int) -> np.ndarray:
     return h.children(level + 1, parent)
 
 
-def _gbp_column(g, h, alpha, eps, delta, level, sup, budget):
+def _sibling_tau(g: CSRGraph, h: Hierarchy, level: int) -> np.ndarray | float:
+    """Per level-``level`` supernode, the tau = 1/sqrt(|S| n) that
+    ``taupush_params`` derives for the query over its siblings."""
+    if level == h.n_levels:
+        n_sibs = h.n_supernodes(level)
+    else:
+        up = h.parent_labels(level)
+        n_sibs = np.bincount(up)[up]
+    return 1.0 / np.sqrt(n_sibs * g.n)
+
+
+def _gbp_column(g, h, alpha, level, sup, budget):
     """The stored entry for (level, sup): its sibling ids and the GBP
     column toward it over them, with the siblings' Eq. (6) rmax_b."""
     sibs = _siblings(h, level, sup)
     leaf_sets = [h.leaf_set(level, int(s)) for s in sibs]
     member, sizes = membership_arrays(g.n, leaf_sets)
-    _, _, rmax_b = taupush_params(g, leaf_sets, eps, delta)
+    _, _, rmax_b = taupush_params(g, leaf_sets)
     fs = h.leaf_set(level, sup)
     col = gbp(g, fs, member, sizes, rmax_b, alpha, budget=budget)
     return sibs.astype(np.int64), col.astype(np.float64)
 
 
-_build_args: tuple = ()  # (g, h, alpha, eps, delta) in a build worker
+_build_args: tuple = ()  # (g, h, alpha) in a build worker
 
 
 def _init_worker(*args) -> None:
@@ -102,60 +112,43 @@ def _column_job(job: tuple[int, int], args: tuple = ()):
     return (*_gbp_column(*(args or _build_args), *job, budget), budget.ops)
 
 
-def build_taupush_index(
-    g: CSRGraph,
-    h: Hierarchy,
-    alpha: float,
-    k: int,
-    *,
-    eps: float | None = None,
-    delta: float | None = None,
-    budget: OpBudget | None = None,
-) -> TauPushIndex:
+def build_taupush_index(g: CSRGraph, h: Hierarchy, alpha: float) -> TauPushIndex:
     """Build the Tau-Push index for one graph + hierarchy.
 
-    tau follows the paper default 1/sqrt(k n); each stored GBP column uses
-    the ``taupush_params`` rmax_b of its own sibling set, so query-time
-    lookups return exactly what a live GBP inside Algorithm 1 would.
+    (level, sup) is stored when its DPR exceeds the tau of the query over
+    its siblings, and its column uses that query's ``taupush_params``
+    rmax_b, so query-time lookups return exactly what a live GBP inside
+    Algorithm 1 would.
 
     The columns are independent, so they are computed in forked worker
     processes (one per usable CPU; each push stays single-threaded), which
-    inherit ``g`` and ``h``. Results are charged and stored in job order,
-    so the entries, their order and ``build_ops`` equal a serial build,
-    and a limited ``budget`` raises at the same op count.
+    inherit ``g`` and ``h``. Results are stored in job order, so the
+    entries, their order and ``build_ops`` equal a serial build.
     """
-    budget = budget or OpBudget()
     leaf_dpr = dpr_vector_local(g, alpha)
-    budget.charge(g.m * 40)  # power-iteration preprocessing cost
     idx = TauPushIndex(leaf_dpr=leaf_dpr)
-    tau = 1.0 / math.sqrt(k * g.n)
     jobs = [
         (level, int(sup))
         for level in range(0, h.n_levels + 1)
-        for sup in np.flatnonzero(supernode_dpr(leaf_dpr, h.leaf_labels[level]) > tau)
+        for sup in np.flatnonzero(
+            supernode_dpr(leaf_dpr, h.leaf_labels[level]) > _sibling_tau(g, h, level)
+        )
     ]
-    args = (g, h, alpha, eps, delta)
+    args = (g, h, alpha)
     # one worker per usable CPU, at most one per job; 1 builds serially
     cpus = len(os.sched_getaffinity(0)) if "fork" in mp.get_all_start_methods() else 1
     workers = min(cpus, len(jobs))
-    with contextlib.ExitStack() as stack:
-        if workers > 1:
-            # fork, so the workers share g and h instead of unpickling a
-            # copy each; they run only numpy pushes and take no lock that
-            # another thread of this process could hold
-            pool = ProcessPoolExecutor(workers, mp.get_context("fork"), _init_worker, args)
-            # joins the workers; after an early raise it first drops the
-            # columns not yet started
-            stack.callback(pool.shutdown, cancel_futures=True)
-            columns = pool.map(_column_job, jobs)
-        else:
-            columns = map(functools.partial(_column_job, args=args), jobs)
-        for job, (sibs, col, ops) in zip(jobs, columns):
-            if ops > budget.remaining():
-                # recompute on the caller's budget: it raises where a
-                # serial build would
-                _gbp_column(*args, *job, budget)
-            budget.charge(ops)
-            idx.gbp_store[job] = (sibs, col)
-    idx.build_ops = budget.ops
+    if workers > 1:
+        # fork, so the workers share g and h instead of unpickling a copy
+        # each; they run only numpy pushes and take no lock that another
+        # thread of this process could hold
+        fork = mp.get_context("fork")
+        with ProcessPoolExecutor(workers, fork, _init_worker, args) as pool:
+            columns = list(pool.map(_column_job, jobs))
+    else:
+        columns = [_column_job(job, args) for job in jobs]
+    idx.build_ops = g.m * 40  # power-iteration preprocessing cost
+    for job, (sibs, col, ops) in zip(jobs, columns):
+        idx.build_ops += ops
+        idx.gbp_store[job] = (sibs, col)
     return idx

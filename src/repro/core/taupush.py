@@ -1,9 +1,9 @@
 """Tau-Push (paper Algorithm 1): (eps, delta)-approximate level-l DPPR and
 PDist for the children of a user-selected supernode S.
 
-Pipeline: tau = 1/sqrt(k n); rmax per Eq. (5); GFP from each child V_i;
-rmax_b per Eq. (6); GBP refinement for every child V_j whose DPR tau_j
-exceeds tau (looked up from the precomputed index when available —
+Pipeline: tau = 1/sqrt(k n) with k = |S|; rmax per Eq. (5); GFP from each
+child V_i; rmax_b per Eq. (6); GBP refinement for every child V_j whose DPR
+tau_j exceeds tau (looked up from the precomputed index when available —
 paper §4.3: GBP results are part of the index); Eq. (1) conversion.
 """
 from __future__ import annotations
@@ -50,34 +50,28 @@ def membership_arrays(
     return member, sizes
 
 
-def eps_delta(
-    k: int, eps: float | None = None, delta: float | None = None
-) -> tuple[float, float]:
-    """(eps, delta) for a query over k supernodes; unset values take the
-    paper defaults eps = 1 - 1/e and delta = 1/(10k)."""
-    return (
-        1.0 - 1.0 / math.e if eps is None else eps,
-        1.0 / (10.0 * max(1, k)) if delta is None else delta,
-    )
+def eps_delta(k: int) -> tuple[float, float]:
+    """(eps, delta) for a query over k supernodes: the paper's
+    eps = 1 - 1/e and delta = 1/(10k)."""
+    return 1.0 - 1.0 / math.e, 1.0 / (10.0 * max(1, k))
 
 
 def taupush_params(
     g: CSRGraph,
     leaf_sets: list[np.ndarray],
-    eps: float | None = None,
-    delta: float | None = None,
     *,
     tau: float | None = None,
 ) -> tuple[float, float, float]:
     """(tau, rmax, rmax_b) per Alg. 1 lines 1-2, 5 (Eqs. 5-6).
 
-    ``tau`` defaults to 1/sqrt(k n); GFP(tau_max) passes max_j tau_j. When
-    no child has an out-arc, every DPPR pi_d(s, .) = pi(s, .) d(s) from S is
-    0, so GBP has nothing to refine and rmax_b is infinite (no push).
+    ``tau`` defaults to 1/sqrt(k n) with k = |S|, the rule the index build
+    shares; GFP(tau_max) passes max_j tau_j. When no child has an out-arc,
+    every DPPR pi_d(s, .) = pi(s, .) d(s) from S is 0, so GBP has nothing
+    to refine and rmax_b is infinite (no push).
     """
     if g.m == 0:
         raise ValueError("Tau-Push needs at least one arc: Eq. (5) divides by m")
-    eps, delta = eps_delta(len(leaf_sets), eps, delta)
+    eps, delta = eps_delta(len(leaf_sets))
     if tau is None:
         tau = 1.0 / math.sqrt(max(1, len(leaf_sets)) * g.n)
     rmax = eps * delta / (g.m * tau)
@@ -94,8 +88,6 @@ def taupush_query(
     leaf_dpr: np.ndarray,
     alpha: float,
     *,
-    eps: float | None = None,
-    delta: float | None = None,
     budget: OpBudget | None = None,
     index: TauPushIndex | None = None,
     children: tuple[int, np.ndarray] | None = None,
@@ -109,7 +101,7 @@ def taupush_query(
     by a live GBP otherwise.
     """
     taus = leaf_set_dpr(leaf_dpr, leaf_sets)
-    params = taupush_params(g, leaf_sets, eps, delta)
+    params = taupush_params(g, leaf_sets)
     return _push_and_refine(g, leaf_sets, taus, params, alpha, budget, index, children)
 
 
@@ -119,8 +111,6 @@ def gfp_taumax_query(
     leaf_dpr: np.ndarray,
     alpha: float,
     *,
-    eps: float | None = None,
-    delta: float | None = None,
     budget: OpBudget | None = None,
 ) -> TauPushResult:
     """The GFP(tau_max) ablation (§7.4): tau = max_j tau_j, GFP only.
@@ -133,7 +123,7 @@ def gfp_taumax_query(
     taus = leaf_set_dpr(leaf_dpr, leaf_sets)
     tau_max = float(taus.max()) if len(taus) else 1.0
     tau_max = max(tau_max, 1.0 / max(1, g.n))  # guard degenerate zero
-    params = taupush_params(g, leaf_sets, eps, delta, tau=tau_max)
+    params = taupush_params(g, leaf_sets, tau=tau_max)
     return _push_and_refine(g, leaf_sets, taus, params, alpha, budget)
 
 

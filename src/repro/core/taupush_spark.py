@@ -30,16 +30,11 @@ def taupush_query_spark(
     leaf_sets: list[np.ndarray],
     leaf_dpr: np.ndarray,
     alpha: float,
-    *,
-    eps: float | None = None,
-    delta: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Algorithm 1 over the (src, dst) arc DataFrame ``edges`` of ``g``.
 
     Returns (pdist, dppr) k x k arrays — the same quantities as the local
     ``taupush_query``.
     """
-    res = taupush_query(
-        SparkGraph(edges, g.n), leaf_sets, leaf_dpr, alpha, eps=eps, delta=delta
-    )
+    res = taupush_query(SparkGraph(edges, g.n), leaf_sets, leaf_dpr, alpha)
     return res.pdist, res.dppr

@@ -76,7 +76,7 @@ def prepare(name: str, k: int = 25, *, n_paths: int = 10, seed: int = 0) -> Prep
     t_h = time.perf_counter() - t0
     eps, delta = eps_delta(k)
     t0 = time.perf_counter()
-    tp_idx = build_taupush_index(g, h, ALPHA, k)
+    tp_idx = build_taupush_index(g, h, ALPHA)
     t_tp = time.perf_counter() - t0
     t0 = time.perf_counter()
     dpr_vector_local(g, ALPHA)

@@ -32,6 +32,3 @@ class OpBudget:
         self.ops += int(n)
         if self.limit is not None and self.ops > self.limit:
             raise OpBudgetExceeded(self.ops, self.limit)
-
-    def remaining(self) -> float:
-        return float("inf") if self.limit is None else self.limit - self.ops

@@ -70,7 +70,7 @@ def preprocess(
 ) -> PPRvizModel:
     """PPRviz preprocessing: hierarchy + index (paper Fig. 7 left)."""
     h = build_hierarchy(g, k, seed=seed)
-    idx = build_taupush_index(g, h, alpha, k)
+    idx = build_taupush_index(g, h, alpha)
     return PPRvizModel(g=g, k=k, alpha=alpha, hierarchy=h, index=idx)
 
 

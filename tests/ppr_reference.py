@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.gfp import gfp
 from repro.core.pdist import pdist_matrix
-from repro.core.taupush import TauPushResult, eps_delta, membership_arrays
+from repro.core.taupush import TauPushResult, membership_arrays
 from repro.graphs.csr import CSRGraph
 from repro.pprlib.budget import OpBudget
 from repro.pprlib.fora import WalkIndex
@@ -180,7 +180,8 @@ def gfra_query(
 ) -> TauPushResult:
     """All-pair approximate level-l DPPR/PDist in S by GFRA."""
     k = len(leaf_sets)
-    eps, delta = eps_delta(k, eps, delta)
+    eps = 1.0 - 1.0 / math.e if eps is None else eps
+    delta = 1.0 / (10.0 * max(1, k)) if delta is None else delta
     p_f = p_f or 1.0 / max(2, g.n)
     rng = rng or np.random.default_rng(0)
     budget = budget or OpBudget()

@@ -58,7 +58,7 @@ def test_index_space_scaling():
     for name in ("Amazon", "Youtube"):
         g = load_dataset(name).csr()
         h = build_hierarchy(g, 25, seed=0)
-        idx = build_taupush_index(g, h, ALPHA, 25)
+        idx = build_taupush_index(g, h, ALPHA)
         k, n = 25, g.n
         soft_bound = 8 * (n + 4 * k * math.sqrt(k * n))  # 8 bytes/value
         assert idx.nbytes < 4 * soft_bound

@@ -49,7 +49,7 @@ def test_gfp_lemma41(fbego, fbego_exact_dppr, partition):
     for every target supernode with tau_j <= tau."""
     leaf_sets, member, sizes = partition
     delta = 1.0 / (10 * len(leaf_sets))
-    tau, rmax, _ = taupush_params(fbego, leaf_sets, EPS, delta)
+    tau, rmax, _ = taupush_params(fbego, leaf_sets)
     dpr = dpr_vector_local(fbego, ALPHA)
     exact = level_dppr_exact(fbego_exact_dppr, leaf_sets)
     taus = np.array([dpr[fs].mean() for fs in leaf_sets])
@@ -98,7 +98,7 @@ def test_gbp_lemma42(fbego, fbego_exact_dppr, partition):
     every source supernode."""
     leaf_sets, member, sizes = partition
     delta = 1.0 / (10 * len(leaf_sets))
-    _, _, rmax_b = taupush_params(fbego, leaf_sets, EPS, delta)
+    _, _, rmax_b = taupush_params(fbego, leaf_sets)
     exact = level_dppr_exact(fbego_exact_dppr, leaf_sets)
     for j, fs in enumerate(leaf_sets):
         col = gbp(fbego, fs, member, sizes, rmax_b, ALPHA)

@@ -8,6 +8,7 @@ from repro.core.taupush import membership_arrays, taupush_params, taupush_query
 from repro.graphs.datasets import load_dataset
 from repro.hierarchy import build_hierarchy
 from repro.pprlib.budget import OpBudget
+from repro.pprlib.dpr import leaf_set_dpr
 
 ALPHA = 0.15
 
@@ -16,8 +17,32 @@ ALPHA = 0.15
 def yt():
     g = load_dataset("Youtube").csr()
     h = build_hierarchy(g, 25, seed=0)
-    idx = build_taupush_index(g, h, ALPHA, 25)
+    idx = build_taupush_index(g, h, ALPHA)
     return g, h, idx
+
+
+def hierarchy_queries(h):
+    """(child level, kid ids, kid leaf sets) of every hierarchy query."""
+    queries = [(h.n_levels + 1, None)] + [
+        (level, sup)
+        for level in range(h.n_levels, 0, -1)
+        for sup in range(h.n_supernodes(level))
+    ]
+    for q in queries:
+        kids, leaf_sets = h.query_children_leafsets(*q)
+        child_level = h.n_levels if q[1] is None else q[0] - 1
+        yield child_level, kids, leaf_sets
+
+
+def hierarchy_gbp_targets(g, h, leaf_dpr):
+    """(child level, kid) of every child that Algorithm 1 refines by GBP
+    in some hierarchy query: tau_j above the query's tau."""
+    targets = set()
+    for child_level, kids, leaf_sets in hierarchy_queries(h):
+        tau, _, _ = taupush_params(g, leaf_sets)
+        hit = np.flatnonzero(leaf_set_dpr(leaf_dpr, leaf_sets) > tau)
+        targets.update((child_level, int(kid)) for kid in kids[hit])
+    return targets
 
 
 def test_index_has_dpr(yt):
@@ -27,22 +52,33 @@ def test_index_has_dpr(yt):
 
 
 def test_index_stores_high_dpr_targets(yt):
+    """Every stored key is a child whose mean DPR beats its query's tau."""
     g, h, idx = yt
     assert len(idx.gbp_store) > 0
-    tau = 1.0 / np.sqrt(25 * g.n)
-    for (level, sup) in idx.gbp_store:
-        fs = h.leaf_set(level, sup)
-        assert idx.leaf_dpr[fs].mean() > tau
+    targets = hierarchy_gbp_targets(g, h, idx.leaf_dpr)
+    for key in idx.gbp_store:
+        assert key in targets
 
 
 def test_index_covers_all_high_dpr_supernodes(yt):
+    """Every child whose mean DPR beats its query's tau is stored."""
     g, h, idx = yt
-    tau = 1.0 / np.sqrt(25 * g.n)
-    for level in range(h.n_levels + 1):
-        for sup in range(h.n_supernodes(level)):
-            fs = h.leaf_set(level, sup)
-            if idx.leaf_dpr[fs].mean() > tau:
-                assert (level, sup) in idx.gbp_store
+    for key in hierarchy_gbp_targets(g, h, idx.leaf_dpr):
+        assert key in idx.gbp_store
+
+
+@pytest.mark.parametrize(
+    "graph, k",
+    [("twego", 5), ("twego", 25), ("fbego", 5), ("fbego", 25),
+     ("messy", 5), ("messy", 25)],
+)
+def test_index_keys_are_query_targets(request, graph, k):
+    """The index stores a column for exactly the children that some
+    hierarchy query refines by GBP: no target is missed, no column unread."""
+    g = request.getfixturevalue(graph)
+    h = build_hierarchy(g, k, seed=0)
+    idx = build_taupush_index(g, h, ALPHA)
+    assert set(idx.gbp_store) == hierarchy_gbp_targets(g, h, idx.leaf_dpr)
 
 
 def test_stored_columns_cover_siblings(yt):
@@ -103,15 +139,8 @@ def test_every_stored_column_equals_live_gbp(yt):
     """Every query with a stored child: the column the index serves is
     bit-identical to a live GBP over the query's children."""
     g, h, idx = yt
-    queries = [(h.n_levels + 1, None)] + [
-        (level, sup)
-        for level in range(h.n_levels, 0, -1)
-        for sup in range(h.n_supernodes(level))
-    ]
     served = 0
-    for q in queries:
-        kids, leaf_sets = h.query_children_leafsets(*q)
-        child_level = h.n_levels if q[1] is None else q[0] - 1
+    for child_level, kids, leaf_sets in hierarchy_queries(h):
         member, sizes = membership_arrays(g.n, leaf_sets)
         _, _, rmax_b = taupush_params(g, leaf_sets)
         for j, kid in enumerate(kids.tolist()):

@@ -73,10 +73,3 @@ def test_pi_charges_budget(tiny):
 def test_pi_budget_exceeded(fbego):
     with pytest.raises(OpBudgetExceeded):
         ppr_single_source_pi(fbego, 0, ALPHA, budget=OpBudget(limit=10))
-
-
-def test_budget_remaining():
-    b = OpBudget(limit=100)
-    b.charge(40)
-    assert b.remaining() == 60
-    assert OpBudget().remaining() == float("inf")

@@ -54,7 +54,7 @@ def test_pdist_conversion(setting):
 def test_params_formulas(setting):
     g, leaf_sets, _, _ = setting
     delta = 1.0 / (10 * len(leaf_sets))
-    tau, rmax, rmax_b = taupush_params(g, leaf_sets, EPS, delta)
+    tau, rmax, rmax_b = taupush_params(g, leaf_sets)
     assert tau == pytest.approx(1.0 / math.sqrt(len(leaf_sets) * g.n))
     assert rmax == pytest.approx(EPS * delta / (g.m * tau))
     dmax = max(g.out_deg[fs].mean() for fs in leaf_sets)
