@@ -6,7 +6,7 @@ from repro.userstudy import build_groups, simulate_t3
 def bench_table6_userstudy(benchmark):
     def run():
         groups = build_groups(seed=0)
-        return simulate_t3(groups, n_participants=30, seed=7)
+        return simulate_t3(groups, seed=7)
 
     df = benchmark.pedantic(run, rounds=1, iterations=1)
     print_table("Table 6 (T3 frequencies) — measured", df)

@@ -5,7 +5,7 @@ from repro.experiments.tables import table7
 
 def bench_table7_vary_k(benchmark):
     df = benchmark.pedantic(
-        lambda: table7(ks=(5, 10, 25, 50, 100), n_paths=3),
+        lambda: table7(n_paths=3),
         rounds=1, iterations=1,
     )
     print_table("Table 7 (vary k on Twitter analog) — measured", df)

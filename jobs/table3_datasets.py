@@ -2,6 +2,7 @@
 from pyspark.sql import SparkSession, functions as F
 
 from repro.graphs.datasets import DATASETS, load_dataset
+from repro.graphs.spark_graph import out_degrees
 
 
 def run(spark: SparkSession):
@@ -9,10 +10,8 @@ def run(spark: SparkSession):
     for name, (_, pn, pm, _) in DATASETS.items():
         d = load_dataset(name)
         deg = (
-            d.edge_df(spark)
-            .groupBy("src")
-            .agg(F.count("*").alias("deg"))
-            .agg(F.max("deg").alias("max_deg"), F.avg("deg").alias("avg_deg"))
+            out_degrees(d.edge_df(spark))
+            .agg(F.max("out_deg").alias("max_deg"), F.avg("out_deg").alias("avg_deg"))
             .collect()[0]
         )
         rows.append(

@@ -1,47 +1,30 @@
 """One entry point per evaluation table; each returns a pandas frame in
 the paper's row/column shape (see DESIGN.md §2 and EXPERIMENTS.md for the
-paper-vs-measured diff)."""
+paper-vs-measured diff). Table 3 is ``repro.graphs.datasets.stats_table``
+and Table 6 is ``repro.userstudy``."""
 from __future__ import annotations
 
-import time
-
-import numpy as np
 import pandas as pd
 
 from repro.experiments import efficiency as eff
 from repro.experiments.quality import pivot_metric, quality_grid
-from repro.graphs.datasets import VARIANT_GRAPHS, stats_table
-from repro.pprlib.budget import OpBudget
+from repro.graphs.datasets import VARIANT_GRAPHS
+
+K = 25  # cluster-size cap of Tables 8-10
+TABLE7_KS = (5, 10, 25, 50, 100)  # the k sweep of Table 7, on Twitter
 
 
-def table3() -> pd.DataFrame:
-    """Dataset statistics (ours vs paper)."""
-    return stats_table()
-
-
-def table4_5_11(seed: int = 0) -> dict[str, pd.DataFrame]:
+def table4_5_11() -> dict[str, pd.DataFrame]:
     """ND / ULCV / AR pivots over 6 small graphs x 12 methods."""
-    grid = quality_grid(seed=seed)
+    grid = quality_grid()
     return {m: pivot_metric(grid, m) for m in ("ND", "ULCV", "AR")}
 
 
-def table6(seed: int = 0) -> pd.DataFrame:
-    """Simulated T3 selection frequencies."""
-    from repro.userstudy import build_groups, simulate_t3
-
-    return simulate_t3(build_groups(seed=seed), seed=seed + 7)
-
-
-def table7(
-    ks: tuple[int, ...] = (5, 10, 25, 50, 100),
-    *,
-    graph: str = "Twitter",
-    n_paths: int = 5,
-) -> pd.DataFrame:
+def table7(*, n_paths: int = 5) -> pd.DataFrame:
     """PPRviz preprocessing and response time vs cluster-size cap k."""
     rows = []
-    for k in ks:
-        prep = eff.prepare(graph, k, n_paths=n_paths)
+    for k in TABLE7_KS:
+        prep = eff.prepare("Twitter", k, n_paths=n_paths)
         pre = eff.preprocessing_time("Tau-Push", prep)
         # no op-budget cut-off here: Table 7 measures only PPRviz, whose
         # paper times (<= 2.1 s) never approach the 1000 s line
@@ -58,12 +41,11 @@ def table7(
     return pd.DataFrame(rows)
 
 
-def table8(graphs: list[str] | None = None, *, k: int = 25, n_paths: int = 5) -> pd.DataFrame:
+def table8(*, n_paths: int = 5) -> pd.DataFrame:
     """Response time of the 7 PDist variants ("-" = op budget exceeded)."""
-    graphs = graphs or VARIANT_GRAPHS
     rows = []
-    for gname in graphs:
-        prep = eff.prepare(gname, k, n_paths=n_paths)
+    for gname in VARIANT_GRAPHS:
+        prep = eff.prepare(gname, K, n_paths=n_paths)
         row: dict = {"graph": gname}
         for v in eff.VARIANTS:
             row[v] = eff.response_time(v, prep)
@@ -71,24 +53,22 @@ def table8(graphs: list[str] | None = None, *, k: int = 25, n_paths: int = 5) ->
     return pd.DataFrame(rows).set_index("graph")
 
 
-def table9(graphs: list[str] | None = None, *, k: int = 25) -> pd.DataFrame:
+def table9() -> pd.DataFrame:
     """Preprocessing time (s) of the variants (hierarchy + index build)."""
-    graphs = graphs or VARIANT_GRAPHS
     rows = []
-    for gname in graphs:
-        prep = eff.prepare(gname, k)
+    for gname in VARIANT_GRAPHS:
+        prep = eff.prepare(gname, K)
         rows.append(
             {"graph": gname, **{v: eff.preprocessing_time(v, prep) for v in eff.VARIANTS}}
         )
     return pd.DataFrame(rows).set_index("graph")
 
 
-def table10(graphs: list[str] | None = None, *, k: int = 25) -> pd.DataFrame:
+def table10() -> pd.DataFrame:
     """Index size (MiB) of the variants."""
-    graphs = graphs or VARIANT_GRAPHS
     rows = []
-    for gname in graphs:
-        prep = eff.prepare(gname, k)
+    for gname in VARIANT_GRAPHS:
+        prep = eff.prepare(gname, K)
         rows.append(
             {
                 "graph": gname,

@@ -4,8 +4,9 @@ GFactor [3], SDNE [77], LapEig [9], LLE [64], Node2vec [31].
 SDNE and Node2vec are numpy re-implementations (no torch/gensim offline,
 DESIGN.md §5.3): SDNE-lite is a one-hidden-layer autoencoder over
 adjacency rows with the beta-weighting of nonzero entries plus the
-first-order Laplacian term; Node2vec-lite runs (p, q)-biased walks and a
-skip-gram with negative sampling trained by vectorized SGD. Both keep the
+first-order Laplacian term; Node2vec-lite runs uniform first-order walks
+(p = q = 1) and a skip-gram with negative sampling trained by vectorized
+SGD. Their hyperparameters are fixed (DESIGN.md rows 13-14). Both keep the
 defining objective family — embeddings optimized for reconstruction /
 co-occurrence, not for visual aesthetics, which is the failure mode the
 paper's Tables 4-5 report for this category.
@@ -23,15 +24,17 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(np.minimum(-x, 700.0)))
 
 
-def _adjacency(g: CSRGraph) -> np.ndarray:
+def adjacency(g: CSRGraph) -> np.ndarray:
+    """Dense 0/1 adjacency: A[u, v] = 1 for every arc u -> v."""
     A = np.zeros((g.n, g.n))
     s, d = g.edge_array()
     A[s, d] = 1.0
     return A
 
 
-def gfactor(g: CSRGraph, *, seed: int = 0, n_iter: int = 200, lam: float = 1e-2, lr: float = 0.05) -> np.ndarray:
+def gfactor(g: CSRGraph, *, seed: int = 0, n_iter: int = 200) -> np.ndarray:
     """Graph factorization: min sum_(i,j) (A_ij - <x_i, x_j>)^2 + lam |x|^2."""
+    lam, lr = 1e-2, 0.05
     rng = np.random.default_rng(seed)
     X = rng.normal(scale=0.1, size=(g.n, 2))
     s, d = g.edge_array()
@@ -47,7 +50,7 @@ def gfactor(g: CSRGraph, *, seed: int = 0, n_iter: int = 200, lam: float = 1e-2,
 
 def lap_eig(g: CSRGraph, *, seed: int = 0) -> np.ndarray:
     """Laplacian eigenmaps: bottom nontrivial eigvecs of the normalized L."""
-    A = _adjacency(g)
+    A = adjacency(g)
     A = np.maximum(A, A.T)
     deg = A.sum(1)
     dinv = 1.0 / np.sqrt(np.maximum(deg, 1e-12))
@@ -60,7 +63,7 @@ def lap_eig(g: CSRGraph, *, seed: int = 0) -> np.ndarray:
 def lle(g: CSRGraph, *, seed: int = 0) -> np.ndarray:
     """Graph LLE: reconstruct each node from its neighbors (row-normalized
     adjacency W), embed with the bottom nontrivial eigvecs of (I-W)^T(I-W)."""
-    A = _adjacency(g)
+    A = adjacency(g)
     A = np.maximum(A, A.T)
     rs = A.sum(1, keepdims=True)
     W = A / np.maximum(rs, 1e-12)
@@ -74,11 +77,7 @@ def sdne_lite(
     g: CSRGraph,
     *,
     seed: int = 0,
-    hidden: int = 32,
     n_iter: int = 60,
-    beta: float = 5.0,
-    alpha1: float = 0.2,
-    lr: float = 0.01,
 ) -> np.ndarray:
     """SDNE-lite: 1-hidden-layer autoencoder A -> h -> y(2) -> A_hat.
 
@@ -86,8 +85,9 @@ def sdne_lite(
     term) + alpha1 * sum_(i,j in E) ||y_i - y_j||^2 (first-order term).
     Trained full-batch with momentum SGD; positions are the 2-d code y.
     """
+    hidden, beta, alpha1, lr = 32, 5.0, 0.2, 0.01
     rng = np.random.default_rng(seed)
-    A = _adjacency(g)
+    A = adjacency(g)
     A = np.maximum(A, A.T)
     n = g.n
     B = np.where(A > 0, beta, 1.0)
@@ -130,17 +130,14 @@ def node2vec_lite(
     *,
     seed: int = 0,
     num_walks: int = 6,
-    walk_len: int = 30,
-    window: int = 4,
-    n_neg: int = 2,
     epochs: int = 2,
-    lr: float = 0.05,
 ) -> np.ndarray:
     """Node2vec-lite: uniform 1st-order walks + SGNS trained by batched SGD.
 
     (p = q = 1, the DeepWalk special case the reference implementation
     defaults to.) Embedding dimension 2, used directly as positions.
     """
+    walk_len, window, n_neg, lr = 30, 4, 2, 0.05
     rng = np.random.default_rng(seed)
     n = g.n
     deg = g.out_deg.astype(np.int64)

@@ -25,15 +25,14 @@ def _force_loop(
     *,
     seed: int = 0,
     n_iter: int = 300,
-    area: float = 1.0,
 ) -> np.ndarray:
     n = g.n
     rng = np.random.default_rng(seed)
-    X = (rng.random((n, 2)) - 0.5) * np.sqrt(area)
+    X = rng.random((n, 2)) - 0.5  # unit-area square
     s, d = g.edge_array()
     und = s < d
     eu, ev = s[und], d[und]
-    t0 = 0.1 * np.sqrt(area)
+    t0 = 0.1
     for it in range(n_iter):
         diff = X[:, None, :] - X[None, :, :]
         dist = np.sqrt((diff**2).sum(-1))

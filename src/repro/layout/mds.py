@@ -2,9 +2,10 @@
 
 * CMDS — classical multidimensional scaling of the all-pairs shortest
   distance matrix: double-center B = -1/2 J D^2 J, take the top-2
-  eigenpairs. (The paper's CMDS column is the stress method initialized
-  this way; the classical-scaling positions are the standard
-  implementation.)
+  eigenpairs (:func:`repro.layout.stress.classical_scaling`, the same
+  routine that initializes stress majorization). The paper's CMDS column
+  is the stress method initialized this way; the classical-scaling
+  positions are the standard implementation.
 * PMDS — pivot MDS: BFS only from p pivots, double-center the n x p
   squared-distance matrix, positions = C V with V the top-2 eigenvectors
   of C^T C. Degree-1 non-pivots attached to the same pivot collapse to the
@@ -16,20 +17,12 @@ import numpy as np
 
 from repro.graphs.csr import CSRGraph
 from repro.layout.bfs import apsp
+from repro.layout.stress import classical_scaling
 
 
 def cmds(g: CSRGraph, *, seed: int = 0) -> np.ndarray:
     """Classical MDS layout over shortest-path distances."""
-    D = apsp(g)
-    D2 = D**2
-    n = g.n
-    J = np.eye(n) - np.ones((n, n)) / n
-    B = -0.5 * J @ D2 @ J
-    B = (B + B.T) / 2.0
-    vals, vecs = np.linalg.eigh(B)
-    idx = np.argsort(vals)[::-1][:2]
-    lam = np.clip(vals[idx], 0.0, None)
-    return vecs[:, idx] * np.sqrt(lam)[None, :]
+    return classical_scaling(apsp(g))
 
 
 def pmds(g: CSRGraph, *, n_pivots: int = 50, seed: int = 0) -> np.ndarray:

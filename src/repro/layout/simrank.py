@@ -14,25 +14,26 @@ import numpy as np
 
 from repro.core.pdist import pdist_from_dppr
 from repro.graphs.csr import CSRGraph
+from repro.layout.embedding import adjacency
+
+C = 0.8  # SimRank decay factor
 
 
-def simrank_matrix(g: CSRGraph, *, c: float = 0.8, n_iter: int = 12) -> np.ndarray:
-    """Dense SimRank scores."""
-    A = np.zeros((g.n, g.n))
-    s, d = g.edge_array()
-    A[s, d] = 1.0
+def simrank_matrix(g: CSRGraph, *, n_iter: int = 12) -> np.ndarray:
+    """Dense SimRank scores with decay ``C``."""
+    A = adjacency(g)
     indeg = A.sum(axis=0)
     W = A / np.maximum(indeg[None, :], 1e-12)
     S = np.eye(g.n)
     for _ in range(n_iter):
-        S = c * (W.T @ S @ W)
+        S = C * (W.T @ S @ W)
         np.fill_diagonal(S, 1.0)
     return S
 
 
-def simrank_pdist(g: CSRGraph, *, c: float = 0.8, n_iter: int = 12) -> np.ndarray:
+def simrank_pdist(g: CSRGraph) -> np.ndarray:
     """SimRank-based distance matrix (plug SimRank into Eq. (1))."""
-    S = simrank_matrix(g, c=c, n_iter=n_iter)
+    S = simrank_matrix(g)
     D = pdist_from_dppr(S, g.n)
     np.fill_diagonal(D, 0.0)
     return D

@@ -82,15 +82,14 @@ class WalkIndex:
     """
 
     def __init__(self, g: CSRGraph, alpha: float, eps: float, delta: float,
-                 *, seed: int = 0, per_node_cap: int = 64,
-                 budget: OpBudget | None = None):
+                 *, seed: int = 0, per_node_cap: int = 64):
         W = fora_omega_W(eps, delta, g.n)
         rmax_g = math.sqrt(1.0 / (g.m * W))
         rng = np.random.default_rng(seed)
         counts = np.ceil(g.out_deg * rmax_g * W).astype(np.int64)
         counts = np.clip(counts, 1, per_node_cap)
         starts = np.repeat(np.arange(g.n), counts)
-        ends = random_walks(g, starts, alpha, rng, budget=budget)
+        ends = random_walks(g, starts, alpha, rng)
         self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
         self.ends = ends.astype(np.int64)
 

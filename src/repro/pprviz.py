@@ -11,7 +11,6 @@ PDist matrix (dense PPR) is embedded directly.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

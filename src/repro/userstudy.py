@@ -29,6 +29,8 @@ from repro.pprlib.dpr import dpr_vector_local
 from repro.pprlib.power_iteration import exact_dppr_matrix
 
 ALPHA = 0.15
+N_PARTICIPANTS = 30  # the paper's panel size
+NOISE = 0.05  # std of a rater's observation noise
 
 
 @dataclass
@@ -61,10 +63,10 @@ def build_groups(
         d = load_dataset(name)
         g = d.csr()
         exact = exact_dppr_matrix(g, ALPHA)
+        dpr = dpr_vector_local(g, ALPHA)
         for k in ks:
             h = build_hierarchy(g, k, seed=seed)
             kids, leaf_sets = h.query_children_leafsets(h.n_levels + 1, None)
-            dpr = dpr_vector_local(g, ALPHA)
             res = taupush_query(g, leaf_sets, dpr, ALPHA)
             pd_tau = res.pdist
             pd_pi = pdist_matrix(level_dppr_exact(exact, leaf_sets), g.n)
@@ -86,9 +88,7 @@ def build_groups(
 def simulate_t3(
     groups: list[StudyGroup],
     *,
-    n_participants: int = 30,
     threshold: float = 0.08,
-    noise: float = 0.05,
     seed: int = 7,
 ) -> pd.DataFrame:
     """Run the simulated raters over the groups; returns the Table 6 counts.
@@ -96,12 +96,13 @@ def simulate_t3(
     A rater's score of a layout is sum_i w_i * metric_i with each metric
     expressed *relative to the pair's mean* (so a 5% ND difference scores
     0.05 regardless of absolute scale — a min-max rescale would map any
-    two values to 0 and 1 and erase closeness), plus N(0, noise).
+    two values to 0 and 1 and erase closeness), plus N(0, NOISE).
+    ``N_PARTICIPANTS`` raters each score every group.
     Ratings closer than ``threshold`` count as "no difference".
     """
     rng = np.random.default_rng(seed)
     counts = {"Tau-Push": 0, "PI": 0, "No difference": 0}
-    for _ in range(n_participants):
+    for _ in range(N_PARTICIPANTS):
         w = rng.dirichlet(np.ones(3))
         for grp in groups:
             pair = []
@@ -113,8 +114,8 @@ def simulate_t3(
             both = np.where(np.isfinite(both), both, finite_max * 10)
             mean = both.mean(axis=0)
             norm = both / np.where(mean > 0, mean, 1.0)
-            s_tau = float((norm[0] * w).sum()) + rng.normal(0, noise)
-            s_pi = float((norm[1] * w).sum()) + rng.normal(0, noise)
+            s_tau = float((norm[0] * w).sum()) + rng.normal(0, NOISE)
+            s_pi = float((norm[1] * w).sum()) + rng.normal(0, NOISE)
             if abs(s_tau - s_pi) < threshold:
                 counts["No difference"] += 1
             elif s_tau < s_pi:

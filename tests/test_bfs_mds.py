@@ -1,10 +1,8 @@
 """BFS shortest paths (with DuckDB recursive-CTE oracle) and CMDS/PMDS."""
 import numpy as np
 import pandas as pd
-import pytest
 
 from repro.graphs.csr import CSRGraph
-from repro.graphs.datasets import load_dataset
 from repro.layout.bfs import apsp, bfs_from
 from repro.layout.mds import cmds, pmds
 
@@ -72,6 +70,19 @@ def test_cmds_recovers_line():
     main = X[:, int(np.argmax(spans))]
     gaps = np.abs(np.diff(main))
     assert gaps.std() < 0.3
+
+
+def test_cmds_matches_inline_classical_scaling(twego, fbego, wiki):
+    """CMDS through the shared classical scaling equals the formula it
+    replaced, bit for bit."""
+    for g in (twego, fbego, wiki):
+        D = apsp(g)
+        J = np.eye(g.n) - np.ones((g.n, g.n)) / g.n
+        B = -0.5 * J @ D**2 @ J
+        vals, vecs = np.linalg.eigh((B + B.T) / 2.0)
+        idx = np.argsort(vals)[::-1][:2]
+        X = vecs[:, idx] * np.sqrt(np.clip(vals[idx], 0.0, None))[None, :]
+        assert np.array_equal(cmds(g), X)
 
 
 def test_cmds_shape(twego):

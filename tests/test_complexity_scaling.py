@@ -1,7 +1,6 @@
 """Empirical complexity checks backing Table 2's asymptotic claims."""
 import math
 
-import numpy as np
 import pytest
 
 from repro.core.taupush import taupush_query

@@ -4,7 +4,6 @@ import pytest
 
 from repro.graphs.datasets import load_dataset
 from repro.pprlib.dpr import dpr_vector_local, supernode_dpr
-from repro.pprlib.power_iteration import exact_dppr_matrix
 
 ALPHA = 0.15
 

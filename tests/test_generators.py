@@ -1,6 +1,5 @@
 """Synthetic graph generator tests: determinism, validity, shape."""
 import numpy as np
-import pytest
 
 from repro.graphs import generators as gen
 

@@ -5,7 +5,6 @@ import pytest
 from repro.pprlib.budget import OpBudget, OpBudgetExceeded
 from repro.pprlib.power_iteration import (
     exact_dppr_matrix,
-    exact_ppr_matrix,
     ppr_single_source_pi,
 )
 

@@ -27,7 +27,7 @@ def test_known_two_node_value():
     """Two nodes with one common in-neighbor: s = C after convergence."""
     # 0 -> 1, 0 -> 2 (directed): I(1)=I(2)={0}; s(1,2) = C * s(0,0) = C
     g = CSRGraph(3, np.array([0, 0]), np.array([1, 2]))
-    S = simrank_matrix(g, c=0.8, n_iter=5)
+    S = simrank_matrix(g, n_iter=5)
     assert S[1, 2] == pytest.approx(0.8)
 
 

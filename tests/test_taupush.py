@@ -12,7 +12,6 @@ from repro.graphs.datasets import load_dataset
 from repro.hierarchy import build_hierarchy
 from repro.pprlib.budget import OpBudget, OpBudgetExceeded
 from repro.pprlib.dpr import dpr_vector_local
-from repro.pprlib.power_iteration import exact_dppr_matrix
 
 ALPHA = 0.15
 EPS = 1.0 - 1.0 / math.e

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.graphs.datasets import load_dataset
-from repro.metrics import ulcv_score
 from repro.pprlib.power_iteration import exact_dppr_matrix
 from repro.pprviz import single_level_pdist
 

@@ -1,7 +1,7 @@
 """Simulated user study (Table 6) tests."""
 import pytest
 
-from repro.userstudy import StudyGroup, build_groups, simulate_t3
+from repro.userstudy import build_groups, simulate_t3
 
 
 @pytest.fixture(scope="module")
@@ -25,14 +25,14 @@ def test_profiles_close(groups):
 
 
 def test_simulation_counts_total(groups):
-    df = simulate_t3(groups, n_participants=30, seed=1)
+    df = simulate_t3(groups, seed=1)
     assert int(df.iloc[0].sum()) == 30 * len(groups)
 
 
 def test_simulation_no_difference_dominates(groups):
     """Paper Table 6 shape: 'No difference' is the most common response and
     neither method dominates the other."""
-    df = simulate_t3(groups, n_participants=30, seed=1)
+    df = simulate_t3(groups, seed=1)
     row = df.iloc[0]
     assert row["No difference"] >= max(row["Tau-Push"], row["PI"]) * 0.8
     big, small = max(row["Tau-Push"], row["PI"]), min(row["Tau-Push"], row["PI"])
