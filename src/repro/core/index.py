@@ -15,13 +15,11 @@ siblings, computed with the query's own Eq. (6) rmax_b. Because
 """
 from __future__ import annotations
 
-import multiprocessing as mp
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.fanout import fork_map
 from repro.core.gbp import gbp
 from repro.core.taupush import membership_arrays, taupush_params
 from repro.graphs.csr import CSRGraph
@@ -86,30 +84,19 @@ def _sibling_tau(g: CSRGraph, h: Hierarchy, level: int) -> np.ndarray | float:
     return 1.0 / np.sqrt(n_sibs * g.n)
 
 
-def _gbp_column(g, h, alpha, level, sup, budget):
-    """The stored entry for (level, sup): its sibling ids and the GBP
-    column toward it over them, with the siblings' Eq. (6) rmax_b."""
+def _gbp_column(g, h, alpha, job: tuple[int, int]):
+    """The stored entry for ``job = (level, sup)`` on its own budget: its
+    sibling ids, the GBP column toward it over them (with the siblings'
+    Eq. (6) rmax_b) and the column's ops."""
+    level, sup = job
+    budget = OpBudget()
     sibs = _siblings(h, level, sup)
     leaf_sets = [h.leaf_set(level, int(s)) for s in sibs]
     member, sizes = membership_arrays(g.n, leaf_sets)
     _, _, rmax_b = taupush_params(g, leaf_sets)
     fs = h.leaf_set(level, sup)
     col = gbp(g, fs, member, sizes, rmax_b, alpha, budget=budget)
-    return sibs.astype(np.int64), col.astype(np.float64)
-
-
-_build_args: tuple = ()  # (g, h, alpha) in a build worker
-
-
-def _init_worker(*args) -> None:
-    global _build_args
-    _build_args = args
-
-
-def _column_job(job: tuple[int, int], args: tuple = ()):
-    """One column on its own budget: (sibling ids, column, ops)."""
-    budget = OpBudget()
-    return (*_gbp_column(*(args or _build_args), *job, budget), budget.ops)
+    return sibs.astype(np.int64), col.astype(np.float64), budget.ops
 
 
 def build_taupush_index(g: CSRGraph, h: Hierarchy, alpha: float) -> TauPushIndex:
@@ -120,12 +107,14 @@ def build_taupush_index(g: CSRGraph, h: Hierarchy, alpha: float) -> TauPushIndex
     rmax_b, so query-time lookups return exactly what a live GBP inside
     Algorithm 1 would.
 
-    The columns are independent, so they are computed in forked worker
-    processes (one per usable CPU; each push stays single-threaded), which
-    inherit ``g`` and ``h``. Results are stored in job order, so the
-    entries, their order and ``build_ops`` equal a serial build.
+    The columns are independent, so :func:`fork_map` computes them in
+    forked worker processes (one per usable CPU; each push stays
+    single-threaded). Results are stored in job order, so the entries,
+    their order and ``build_ops`` equal a serial build. ``build_ops``
+    counts the DPR power iteration's arcs and every column's pushes.
     """
-    leaf_dpr = dpr_vector_local(g, alpha)
+    budget = OpBudget()
+    leaf_dpr = dpr_vector_local(g, alpha, budget=budget)
     idx = TauPushIndex(leaf_dpr=leaf_dpr)
     jobs = [
         (level, int(sup))
@@ -134,21 +123,8 @@ def build_taupush_index(g: CSRGraph, h: Hierarchy, alpha: float) -> TauPushIndex
             supernode_dpr(leaf_dpr, h.leaf_labels[level]) > _sibling_tau(g, h, level)
         )
     ]
-    args = (g, h, alpha)
-    # one worker per usable CPU, at most one per job; 1 builds serially
-    cpus = len(os.sched_getaffinity(0)) if "fork" in mp.get_all_start_methods() else 1
-    workers = min(cpus, len(jobs))
-    if workers > 1:
-        # fork, so the workers share g and h instead of unpickling a copy
-        # each; they run only numpy pushes and take no lock that another
-        # thread of this process could hold
-        fork = mp.get_context("fork")
-        with ProcessPoolExecutor(workers, fork, _init_worker, args) as pool:
-            columns = list(pool.map(_column_job, jobs))
-    else:
-        columns = [_column_job(job, args) for job in jobs]
-    idx.build_ops = g.m * 40  # power-iteration preprocessing cost
-    for job, (sibs, col, ops) in zip(jobs, columns):
-        idx.build_ops += ops
+    for job, (sibs, col, ops) in zip(jobs, fork_map(_gbp_column, jobs, (g, h, alpha))):
+        budget.charge(ops)
         idx.gbp_store[job] = (sibs, col)
+    idx.build_ops = budget.ops
     return idx

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.fanout import fork_map
 from repro.core.gbp import gbp
 from repro.core.gfp import gfp
 from repro.core.pdist import pdist_matrix
@@ -23,6 +24,21 @@ from repro.pprlib.dpr import leaf_set_dpr
 
 if TYPE_CHECKING:
     from repro.core.index import TauPushIndex
+
+# A query on a CSRGraph computes its GFP rows in forked worker processes
+# (``fork_map``) when its forward-push work bound, sum_i d(V_i) / (alpha
+# rmax) over the mean out-degrees d(V_i) of the children, reaches this many
+# arcs. Below it the fork does not pay. On a 4-CPU VM, starting and
+# joining a 4-worker pool takes 20-38 ms; after the fork the parent takes a
+# copy-on-write fault on its first write to each page (about 1,300 faults
+# on the Youtube analog, 3,200 on Twitter's, adding 2-7 ms to the next
+# small query); and the bound overestimates the ops GFP really pushes by
+# 2.7x to 9.9x. With the gate at 1e7 the Youtube root query (bound 4.9e7)
+# fanned out, and perfbench's youtube_random p50 rose in 3 of 3 runs (+5%
+# to +31%). At 1e8, 0.19% of Youtube random-path queries and 23% of
+# Twitter's fan out (k = 25), among them every Twitter hub drill-down
+# query with k >= 12.
+FANOUT_MIN_ARCS = 100_000_000
 
 
 @dataclass
@@ -127,6 +143,23 @@ def gfp_taumax_query(
     return _push_and_refine(g, leaf_sets, taus, params, alpha, budget)
 
 
+def _push_bound(
+    g: CSRGraph, leaf_sets: list[np.ndarray], rmax: float, alpha: float
+) -> float:
+    """Forward-push work bound of a query's GFP rows, in arcs: each push
+    from v moves at least alpha d(v) rmax of the d(V_i) seed mass into the
+    estimate, so GFP from V_i touches at most d(V_i) / (alpha rmax) arcs."""
+    mass = sum(g.out_deg[fs].mean() for fs in leaf_sets if len(fs))
+    return mass / (alpha * rmax)
+
+
+def _gfp_row(g, leaf_sets, member, sizes, rmax, alpha, i: int):
+    """GFP from child ``i`` on its own budget: (DPPR row, ops)."""
+    budget = OpBudget()
+    row, _ = gfp(g, leaf_sets[i], member, sizes, rmax, alpha, budget=budget)
+    return row, budget.ops
+
+
 def _push_and_refine(
     g: CSRGraph,
     leaf_sets: list[np.ndarray],
@@ -143,9 +176,18 @@ def _push_and_refine(
     tau, rmax, rmax_b = params
     member, sizes = membership_arrays(g.n, leaf_sets)
 
+    # the k GFP rows are independent (Lemma A.2); charging their ops in row
+    # order raises a limited budget after the same row whether they ran in
+    # this process or in forked workers
+    shared = (g, leaf_sets, member, sizes, rmax, alpha)
+    if isinstance(g, CSRGraph) and _push_bound(g, leaf_sets, rmax, alpha) >= FANOUT_MIN_ARCS:
+        rows = fork_map(_gfp_row, range(k), shared)
+    else:
+        rows = (_gfp_row(*shared, i) for i in range(k))
     dppr = np.zeros((k, k))
-    for i, fs in enumerate(leaf_sets):
-        dppr[i, :], _ = gfp(g, fs, member, sizes, rmax, alpha, budget=budget)
+    for i, (row, ops) in enumerate(rows):
+        budget.charge(ops)
+        dppr[i, :] = row
 
     gbp_targets = np.flatnonzero(taus > tau)
     for j in gbp_targets:

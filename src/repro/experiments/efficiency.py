@@ -15,7 +15,7 @@ supergraph to level 0.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,7 +48,8 @@ RESPONSE_OP_BUDGET = 500_000_000
 
 @dataclass
 class PreparedGraph:
-    """Cached per-(graph, k) state shared by all variants."""
+    """Per-(graph, k, seed) state shared by all variants, and the zoom
+    paths of one :func:`prepare` call."""
 
     name: str
     model: PPRvizModel  # graph, hierarchy and Tau-Push index
@@ -62,14 +63,23 @@ class PreparedGraph:
     paths: list = field(default_factory=list)
 
 
-_CACHE: dict[tuple[str, int], PreparedGraph] = {}
+_CACHE: dict[tuple[str, int, int], PreparedGraph] = {}
 
 
 def prepare(name: str, k: int = 25, *, n_paths: int = 10, seed: int = 0) -> PreparedGraph:
-    """Build (once) the hierarchy, every variant's index, and zoom paths."""
-    key = (name, k)
-    if key in _CACHE:
-        return _CACHE[key]
+    """The hierarchy and every variant's index, built once per
+    ``(name, k, seed)``, with ``n_paths`` zoom paths drawn from ``seed``
+    on every call."""
+    key = (name, k, seed)
+    if key not in _CACHE:
+        _CACHE[key] = _build(name, k, seed)
+    prep = _CACHE[key]
+    rng = np.random.default_rng(seed)
+    paths = [prep.model.hierarchy.random_zoom_path(rng) for _ in range(n_paths)]
+    return replace(prep, paths=paths)
+
+
+def _build(name: str, k: int, seed: int) -> PreparedGraph:
     g = load_dataset(name).csr()
     t0 = time.perf_counter()
     h = build_hierarchy(g, k, seed=seed)
@@ -87,18 +97,13 @@ def prepare(name: str, k: int = 25, *, n_paths: int = 10, seed: int = 0) -> Prep
     t0 = time.perf_counter()
     forap_idx = WalkIndex(g, ALPHA, eps, delta, seed=seed + 1, per_node_cap=32)
     t_forap = time.perf_counter() - t0
-    rng = np.random.default_rng(seed)
-    paths = [h.random_zoom_path(rng) for _ in range(n_paths)]
-    prep = PreparedGraph(
+    return PreparedGraph(
         name=name,
         model=PPRvizModel(g=g, k=k, alpha=ALPHA, hierarchy=h, index=tp_idx),
         hierarchy_secs=t_h, taupush_index_secs=t_tp, dpr_secs=t_dpr,
         fora_index=fora_idx, fora_index_secs=t_fora,
         foraplus_index=forap_idx, foraplus_index_secs=t_forap,
-        paths=paths,
     )
-    _CACHE[key] = prep
-    return prep
 
 
 def _per_leaf_dppr(

@@ -58,8 +58,11 @@ class CSRGraph:
         np.cumsum(self.indptr, out=self.indptr)
         self.indices = d
         rorder = np.lexsort((s, d))
+        # the head of each arc in (dst, src) order: the sender of a reverse
+        # propagation along that in-arc
+        self._dst_rsorted = d[rorder]
         self.rindptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(self.rindptr, d[rorder] + 1, 1)
+        np.add.at(self.rindptr, self._dst_rsorted + 1, 1)
         np.cumsum(self.rindptr, out=self.rindptr)
         self.rindices = s[rorder]
         self._out_count = np.diff(self.indptr)
@@ -122,9 +125,9 @@ class CSRGraph:
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         if reverse:
-            counts, receivers = self._in_count, self.rindices
+            counts, senders, receivers = self._in_count, self._dst_rsorted, self.rindices
         else:
-            counts, receivers = self._out_count, self.indices
+            counts, senders, receivers = self._out_count, self._src_sorted, self.indices
         node_counts = counts[nodes]
         arcs = int(node_counts.sum())
         if arcs <= DENSE_ARC_SHARE * self.m:
@@ -133,7 +136,7 @@ class CSRGraph:
             weights = np.repeat(vals, node_counts)
         else:
             per_node = np.bincount(nodes, weights=vals, minlength=self.n)
-            weights = np.repeat(per_node, counts)
+            weights = per_node[senders]
         sums = np.bincount(receivers, weights=weights, minlength=self.n)
         # bincount returns int64 zeros when no arc is touched
         return sums.astype(np.float64, copy=False), arcs

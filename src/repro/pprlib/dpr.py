@@ -21,18 +21,22 @@ from pyspark.sql import DataFrame
 
 from repro.graphs.csr import CSRGraph
 from repro.graphs.spark_graph import SparkGraph
+from repro.pprlib.budget import OpBudget
 from repro.pprlib.power_iteration import power_iteration
 
 
-def dpr_vector_local(g: CSRGraph, alpha: float, *, max_iter: int = 300) -> np.ndarray:
+def dpr_vector_local(
+    g: CSRGraph, alpha: float, *, max_iter: int = 300, budget: OpBudget | None = None
+) -> np.ndarray:
     """DPR vector over leaves: :func:`power_iteration` from d/m until the
-    remaining walk mass is below 1e-12; sums to ~1.
+    remaining walk mass is below 1e-12; sums to ~1. Charges the arcs of
+    every propagation to ``budget``.
 
     Runs on any graph with ``n``, ``m``, ``out_deg`` and ``propagate`` (a
     CSRGraph or a SparkGraph).
     """
     x0 = g.out_deg / max(1.0, float(g.m))
-    return power_iteration(g, x0, alpha, tol=1e-12, max_iter=max_iter)
+    return power_iteration(g, x0, alpha, tol=1e-12, max_iter=max_iter, budget=budget)
 
 
 def dpr_vector_spark(

@@ -12,7 +12,18 @@ def prep():
 
 
 def test_prepare_cached(prep):
-    assert eff.prepare("Amazon", 25) is prep
+    """The hierarchy and indexes are built once per (graph, k, seed)."""
+    again = eff.prepare("Amazon", 25, n_paths=2, seed=0)
+    assert again.model is prep.model and again.fora_index is prep.fora_index
+    assert again.paths == prep.paths
+
+
+def test_prepare_draws_paths_per_call(prep):
+    """A cache hit still honours ``n_paths`` (and ``seed``)."""
+    three = eff.prepare("Amazon", 25, n_paths=3, seed=0)
+    assert three.model is prep.model
+    assert len(three.paths) == 3 and three.paths[:2] == prep.paths
+    assert len(prep.paths) == 2
 
 
 def test_paths_prepared(prep):

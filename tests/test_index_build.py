@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import index as index_mod
+from repro.core import fanout as fanout_mod
 from repro.core.gbp import gbp
 from repro.core.index import TauPushIndex, build_taupush_index
 from repro.core.taupush import membership_arrays
@@ -27,8 +27,7 @@ def serial_reference(g, h, alpha, k):
     which also stores columns no query reads (|S| <= k). Returns the index
     and the ops of each column."""
     budget = OpBudget()
-    leaf_dpr = dpr_vector_local(g, alpha)
-    budget.charge(g.m * 40)  # power-iteration preprocessing cost
+    leaf_dpr = dpr_vector_local(g, alpha, budget=budget)
     idx = TauPushIndex(leaf_dpr=leaf_dpr)
     col_ops = {}
     tau = 1.0 / math.sqrt(k * g.n)
@@ -87,12 +86,12 @@ def test_parallel_build_matches_serial(built, monkeypatch):
     g, h, ref, kept, ops = built
     pools = []
 
-    class Pool(index_mod.ProcessPoolExecutor):
+    class Pool(fanout_mod.ProcessPoolExecutor):
         def __init__(self, workers, *args):
             pools.append(workers)
             super().__init__(workers, *args)
 
-    monkeypatch.setattr(index_mod, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(fanout_mod, "ProcessPoolExecutor", Pool)
     _assert_reference_minus_unread(build_taupush_index(g, h, ALPHA), ref, kept, ops)
     workers = min(len(os.sched_getaffinity(0)), len(kept))
     assert pools == ([workers] if workers > 1 else [])
@@ -107,7 +106,7 @@ def test_single_cpu_builds_in_process(built, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a one-CPU build started a process pool")
 
-    monkeypatch.setattr(index_mod, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(fanout_mod, "ProcessPoolExecutor", no_pool)
     _assert_reference_minus_unread(build_taupush_index(g, h, ALPHA), ref, kept, ops)
 
 
