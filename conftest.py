@@ -83,3 +83,14 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+@pytest.fixture(autouse=True)
+def _close_query_workers():
+    """Close the query path's fan-out workers after each test, so a set
+    forked before one test's monkeypatch never serves that test, and the
+    session ends with no worker alive."""
+    yield
+    from repro.core import fanout
+
+    fanout.close()

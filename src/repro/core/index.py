@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.fanout import fork_map
+from repro.core.fanout import Workers
 from repro.core.gbp import gbp
 from repro.core.taupush import membership_arrays, taupush_params
 from repro.graphs.csr import CSRGraph
@@ -107,11 +107,12 @@ def build_taupush_index(g: CSRGraph, h: Hierarchy, alpha: float) -> TauPushIndex
     rmax_b, so query-time lookups return exactly what a live GBP inside
     Algorithm 1 would.
 
-    The columns are independent, so :func:`fork_map` computes them in
-    forked worker processes (one per usable CPU; each push stays
-    single-threaded). Results are stored in job order, so the entries,
-    their order and ``build_ops`` equal a serial build. ``build_ops``
-    counts the DPR power iteration's arcs and every column's pushes.
+    The columns are independent, so a :class:`Workers` set computes them
+    in forked worker processes (one per usable CPU; each push stays
+    single-threaded) that live for this build only. Results are stored
+    in job order, so the entries, their order and ``build_ops`` equal a
+    serial build. ``build_ops`` counts the DPR power iteration's arcs and
+    every column's pushes.
     """
     budget = OpBudget()
     leaf_dpr = dpr_vector_local(g, alpha, budget=budget)
@@ -123,7 +124,9 @@ def build_taupush_index(g: CSRGraph, h: Hierarchy, alpha: float) -> TauPushIndex
             supernode_dpr(leaf_dpr, h.leaf_labels[level]) > _sibling_tau(g, h, level)
         )
     ]
-    for job, (sibs, col, ops) in zip(jobs, fork_map(_gbp_column, jobs, (g, h, alpha))):
+    with Workers(_gbp_column, (g, h, alpha)) as workers:
+        columns = workers.map(jobs)
+    for job, (sibs, col, ops) in zip(jobs, columns):
         budget.charge(ops)
         idx.gbp_store[job] = (sibs, col)
     idx.build_ops = budget.ops

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.fanout import fork_map
+from repro.core.fanout import graph_workers
 from repro.core.gbp import gbp
 from repro.core.gfp import gfp
 from repro.core.pdist import pdist_matrix
@@ -25,20 +25,23 @@ from repro.pprlib.dpr import leaf_set_dpr
 if TYPE_CHECKING:
     from repro.core.index import TauPushIndex
 
-# A query on a CSRGraph computes its GFP rows in forked worker processes
-# (``fork_map``) when its forward-push work bound, sum_i d(V_i) / (alpha
-# rmax) over the mean out-degrees d(V_i) of the children, reaches this many
-# arcs. Below it the fork does not pay. On a 4-CPU VM, starting and
-# joining a 4-worker pool takes 20-38 ms; after the fork the parent takes a
-# copy-on-write fault on its first write to each page (about 1,300 faults
-# on the Youtube analog, 3,200 on Twitter's, adding 2-7 ms to the next
-# small query); and the bound overestimates the ops GFP really pushes by
-# 2.7x to 9.9x. With the gate at 1e7 the Youtube root query (bound 4.9e7)
-# fanned out, and perfbench's youtube_random p50 rose in 3 of 3 runs (+5%
-# to +31%). At 1e8, 0.19% of Youtube random-path queries and 23% of
-# Twitter's fan out (k = 25), among them every Twitter hub drill-down
-# query with k >= 12.
-FANOUT_MIN_ARCS = 100_000_000
+# A query on a CSRGraph computes its GFP rows in its graph's forked
+# workers (``fanout.graph_workers``) when its forward-push work bound,
+# sum_i d(V_i) / (alpha rmax) over the mean out-degrees d(V_i) of the
+# children, reaches this many arcs. Below it the fan-out does not pay.
+# Measured on a 4-CPU VM (k = 25): the workers are forked once per graph
+# (20-27 ms, on its first heavy query); after that a call costs
+# 0.5-0.8 ms for 2 jobs and 1.4-2.7 ms for a root's 18-19 jobs, whose
+# context pickles to 190 KB (Youtube analog) and 390 KB (Twitter's).
+# Timing 90 Youtube random-path queries serially and fanned (best of 3),
+# fan-out saved a median 0.4 ms below a bound of 1.2e6 (serial median
+# 4.1 ms), 2.3 ms from 1.2e6 to 2e6 (8.6 ms, about perfbench's
+# youtube_random p50) and 6.2 ms from 2e6 to 1e7 (15 ms). But the bound
+# is no measure of work on tiny graphs: FbEgo (n = 52) reaches 4.9e6
+# with sub-millisecond GFP(tau_max) queries. At 1e7, twice that, 19.9%
+# of Youtube random-path queries fan out (every root query, bound 4.9e7,
+# and 6.6% of the rest) and 70% of Twitter's.
+FANOUT_MIN_ARCS = 10_000_000
 
 
 @dataclass
@@ -179,11 +182,11 @@ def _push_and_refine(
     # the k GFP rows are independent (Lemma A.2); charging their ops in row
     # order raises a limited budget after the same row whether they ran in
     # this process or in forked workers
-    shared = (g, leaf_sets, member, sizes, rmax, alpha)
+    context = (leaf_sets, member, sizes, rmax, alpha)
     if isinstance(g, CSRGraph) and _push_bound(g, leaf_sets, rmax, alpha) >= FANOUT_MIN_ARCS:
-        rows = fork_map(_gfp_row, range(k), shared)
+        rows = graph_workers(_gfp_row, g).map(range(k), context)
     else:
-        rows = (_gfp_row(*shared, i) for i in range(k))
+        rows = (_gfp_row(g, *context, i) for i in range(k))
     dppr = np.zeros((k, k))
     for i, (row, ops) in enumerate(rows):
         budget.charge(ops)

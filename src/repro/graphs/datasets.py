@@ -12,8 +12,12 @@ a local CSR graph, and helpers to materialize the Spark edge DataFrame.
 """
 from __future__ import annotations
 
+import hashlib
+import os
+import tempfile
 from dataclasses import dataclass, field
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
@@ -54,8 +58,26 @@ class Dataset:
         )
 
     def edge_df(self, spark):
-        """All directed arcs as a Spark DataFrame."""
-        return spark.createDataFrame(self.edge_pandas())
+        """All directed arcs as a Spark DataFrame.
+
+        The arcs are read from a local Parquet file, so no task carries
+        them: ``createDataFrame(pandas)`` would ship the whole arc list
+        inside the job's tasks (5-7 MiB on the largest analogs).
+        """
+        return spark.read.parquet(str(self._arcs_parquet()))
+
+    def _arcs_parquet(self) -> Path:
+        """The arcs written once to a Parquet file named by their content,
+        under the first ``SPARK_LOCAL_DIRS`` directory (else the temp dir)."""
+        digest = hashlib.sha256(self.u.tobytes() + self.v.tobytes()).hexdigest()[:24]
+        local = os.environ.get("SPARK_LOCAL_DIRS") or tempfile.gettempdir()
+        path = Path(local.split(",")[0]) / "repro-arcs" / f"{digest}-{self.n}.parquet"
+        if not path.exists():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            part = path.with_name(f".{path.name}.{os.getpid()}")
+            self.edge_pandas().to_parquet(part, index=False)
+            os.replace(part, path)  # atomic: a reader never sees half a file
+        return path
 
 
 # name -> (builder, paper_n, paper_m, description)

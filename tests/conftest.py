@@ -8,6 +8,8 @@ Property tests run under one ``hypothesis`` profile: derandomized (every
 run draws the same examples), no example database, no per-example
 deadline (a slow machine cannot flake them) and a fixed example count.
 """
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -72,3 +74,19 @@ def fbego_exact_dppr(fbego):
 @pytest.fixture(scope="session")
 def tiny_exact_ppr(tiny):
     return exact_ppr_matrix(tiny, ALPHA)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of every worker this test forks, in fork order."""
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids

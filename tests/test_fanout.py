@@ -1,22 +1,52 @@
 """A heavy query computes its GFP rows in forked worker processes; its
-DPPR, PDist and ops must equal the in-process loop's, and no pool may
-start, or outlive the query, where the gate says it should not."""
+DPPR, PDist and ops must equal the in-process loop's. One worker set per
+graph is forked once and reused by every fanned query on that graph; none
+may be forked where the gate says it should not, and none may outlive
+``fanout.close()``, a failed call or the interpreter."""
 import math
-import multiprocessing as mp
 import os
+import signal
+import subprocess
+import sys
+import time
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import fanout as fanout_mod
 from repro.core import taupush as taupush_mod
+from repro.core.fanout import Workers, usable_cpus
 from repro.core.taupush import gfp_taumax_query, taupush_query
 from repro.pprlib.budget import OpBudget, OpBudgetExceeded
 from repro.pprviz import preprocess
 from tests.test_taupush_contract import every_query
 
 ALPHA = 0.15
+REPO = Path(__file__).resolve().parents[1]
+
+
+def worker_pids() -> set[int]:
+    """This process's live children that run its own command line: the
+    forked workers, not the Spark JVM (zombies read an empty one)."""
+    me = Path("/proc/self/cmdline").read_bytes()
+    pids = set()
+    for children in Path("/proc/self/task").glob("*/children"):
+        for pid in children.read_text().split():
+            try:
+                if Path(f"/proc/{pid}/cmdline").read_bytes() == me:
+                    pids.add(int(pid))
+            except OSError:  # exited meanwhile
+                pass
+    return pids
+
+
+def forbid_forks(monkeypatch):
+    def no_fork():
+        raise AssertionError("a worker was forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
 
 
 @pytest.fixture(scope="module", params=[
@@ -42,52 +72,65 @@ def query_runs(model):
         yield (q, "taumax", len(kids)), partial(gfp_taumax_query, *args)
 
 
-def forbid_pools(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a query started a process pool")
-
-    monkeypatch.setattr(fanout_mod, "ProcessPoolExecutor", no_pool)
+def root_run(m):
+    _, leaf_sets = m.hierarchy.query_children_leafsets(m.hierarchy.n_levels + 1, None)
+    return partial(taupush_query, m.g, leaf_sets, m.index.leaf_dpr, ALPHA)
 
 
-def test_fanout_matches_serial(model, monkeypatch):
-    pools = []
-
-    class Pool(fanout_mod.ProcessPoolExecutor):
-        def __init__(self, workers, *args):
-            pools.append(workers)
-            super().__init__(workers, *args)
-
-    monkeypatch.setattr(fanout_mod, "ProcessPoolExecutor", Pool)
-    cpus = fanout_mod.usable_cpus()
+def test_fanout_matches_serial(model, forks, monkeypatch):
+    cpus = usable_cpus()
+    fanned_any = False
     for (q, served_by, k), run in query_runs(model):
         monkeypatch.setattr(taupush_mod, "FANOUT_MIN_ARCS", math.inf)
         serial = run()
-        assert pools == []
         monkeypatch.setattr(taupush_mod, "FANOUT_MIN_ARCS", 0)
         fanned = run()
-        assert mp.active_children() == []
-        assert pools == ([min(cpus, k)] if min(cpus, k) > 1 else []), (q, served_by)
-        pools.clear()
+        fanned_any |= k > 1
+        # one set, forked at the first fanned query and reused by the rest
+        assert len(forks) == (cpus if cpus > 1 and fanned_any else 0), (q, served_by)
+        assert worker_pids() == set(forks), (q, served_by)
         assert np.array_equal(fanned.dppr, serial.dppr), (q, served_by)
         assert np.array_equal(fanned.pdist, serial.pdist), (q, served_by)
         assert fanned.ops == serial.ops, (q, served_by)
+    fanout_mod.close()
+    assert worker_pids() == set()
+
+
+def test_new_graph_reforks(fbego, twego, forks, monkeypatch):
+    """Later queries on one graph reuse its set; a query on another graph
+    closes that set and forks its own."""
+    fb, tw = (root_run(preprocess(g, 25, alpha=ALPHA)) for g in (fbego, twego))
+    want = fb(), tw()
+    forks.clear()  # the index builds'
+    monkeypatch.setattr(taupush_mod, "FANOUT_MIN_ARCS", 0)
+    cpus = usable_cpus() if usable_cpus() > 1 else 0
+    got = fb(), fb()
+    first = worker_pids()
+    assert len(forks) == cpus and first == set(forks)
+    got += (tw(),)
+    assert len(forks) == 2 * cpus and worker_pids() == set(forks[cpus:])
+    assert not first & worker_pids()
+    for res, ref in zip(got, (want[0], want[0], want[1])):
+        assert np.array_equal(res.dppr, ref.dppr) and res.ops == ref.ops
+    fanout_mod.close()
+    assert worker_pids() == set()
 
 
 def test_one_cpu_runs_in_process(fbego, monkeypatch):
-    m = preprocess(fbego, 25, alpha=ALPHA)
-    _, run = next(query_runs(m))
+    run = root_run(preprocess(fbego, 25, alpha=ALPHA))
     want = run()
     monkeypatch.setattr(taupush_mod, "FANOUT_MIN_ARCS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    forbid_pools(monkeypatch)
+    forbid_forks(monkeypatch)
     got = run()
     assert np.array_equal(got.dppr, want.dppr) and got.ops == want.ops
 
 
 def test_below_gate_runs_in_process(fbego, monkeypatch):
-    """The real gate: no FbEgo query comes near FANOUT_MIN_ARCS."""
+    """The real gate: no FbEgo query reaches FANOUT_MIN_ARCS (the largest
+    bound, a GFP(tau_max) one, is 4.9e6)."""
     m = preprocess(fbego, 25, alpha=ALPHA)
-    forbid_pools(monkeypatch)
+    forbid_forks(monkeypatch)
     for _, run in query_runs(m):
         run()
 
@@ -105,21 +148,111 @@ def test_non_csr_graph_runs_in_process(fbego, monkeypatch):
     _, leaf_sets = m.hierarchy.query_children_leafsets(m.hierarchy.n_levels + 1, None)
     want = taupush_query(fbego, leaf_sets, m.index.leaf_dpr, ALPHA)
     monkeypatch.setattr(taupush_mod, "FANOUT_MIN_ARCS", 0)
-    forbid_pools(monkeypatch)
+    forbid_forks(monkeypatch)
     got = taupush_query(DuckGraph(fbego), leaf_sets, m.index.leaf_dpr, ALPHA)
     assert np.array_equal(got.dppr, want.dppr) and got.ops == want.ops
 
 
-def test_fanned_query_honours_budget(fbego, monkeypatch):
+def test_fanned_query_honours_budget(fbego, forks, monkeypatch):
     """GFP(tau_max) charges only GFP rows: a limit one op short of the
-    query's total raises at the last row; the total does not raise."""
+    query's total raises at the last row; the total does not raise. The
+    raise leaves the graph's worker set alive for the next query."""
     m = preprocess(fbego, 25, alpha=ALPHA)
     run = next(run for (_, kind, _), run in query_runs(m) if kind == "taumax")
     total = run().ops
+    forks.clear()  # the index build's
     monkeypatch.setattr(taupush_mod, "FANOUT_MIN_ARCS", 0)
     with pytest.raises(OpBudgetExceeded) as raised:
         run(budget=OpBudget(total - 1))
     assert raised.value.ops == total
-    assert mp.active_children() == []
+    workers = worker_pids()
+    assert workers == set(forks)
     assert run(budget=OpBudget(total)).ops == total
-    assert mp.active_children() == []
+    assert worker_pids() == workers and len(forks) == len(workers)
+    fanout_mod.close()
+    assert worker_pids() == set()
+
+
+def _job(offset, scale, job):
+    if job == "raise":
+        raise ValueError("bad job")
+    if job == "die":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return (offset + job) * scale
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """Three usable CPUs, whatever the machine has: three workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+
+def test_job_error_reraises_and_set_stays_usable(three_cpus, forks):
+    with Workers(_job, (10,)) as workers:
+        assert workers.map(range(6), (2,)) == [20, 22, 24, 26, 28, 30]
+        with pytest.raises(ValueError) as raised:
+            workers.map([0, 1, "raise", 3, 4, 5], (1,))
+        assert str(raised.value) == "bad job"
+        assert "in fan-out worker" in raised.value.__notes__[0]
+        assert workers.map(range(6), (3,)) == [30, 33, 36, 39, 42, 45]
+        assert len(forks) == 3 and worker_pids() == set(forks)
+    assert worker_pids() == set()
+
+
+def test_killed_worker_raises_and_next_call_reforks(three_cpus, forks):
+    with Workers(_job, (10,)) as workers:
+        assert workers.map(range(6), (1,)) == [10, 11, 12, 13, 14, 15]
+        with pytest.raises(RuntimeError, match="killed by signal 9 mid-call"):
+            workers.map([0, 1, "die", 3, 4, 5], (1,))
+        assert worker_pids() == set()
+        assert workers.map(range(6), (1,)) == [10, 11, 12, 13, 14, 15]
+        assert len(forks) == 6 and worker_pids() == set(forks[3:])
+    assert worker_pids() == set()
+
+
+def test_one_cpu_forks_nothing(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    forbid_forks(monkeypatch)
+    with Workers(_job, (10,)) as workers:
+        assert workers.map(range(6), (2,)) == [20, 22, 24, 26, 28, 30]
+        with pytest.raises(ValueError) as raised:
+            workers.map([0, "raise"], (1,))
+        assert str(raised.value) == "bad job"
+
+
+EXIT_SCRIPT = """
+import atexit
+import os
+import sys
+
+# registered first, so it runs last: after the repro modules' own exit hooks
+atexit.register(lambda: print("left:", *sys.modules["tests.test_fanout"].worker_pids()))
+
+from repro.core import taupush
+from repro.graphs.datasets import load_dataset
+from repro.pprviz import preprocess
+from tests.test_fanout import root_run, worker_pids
+
+os.sched_getaffinity = lambda pid: {0, 1}
+m = preprocess(load_dataset("FbEgo").csr(), 25)
+taupush.FANOUT_MIN_ARCS = 0
+root_run(m)()
+print("workers:", *worker_pids())
+"""
+
+
+def test_no_worker_outlives_the_interpreter():
+    """A script that fans a query out and returns without ``close()``:
+    its exit closes and reaps the workers, and none is left running."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"), str(REPO)]))
+    out = subprocess.run(
+        [sys.executable, "-c", EXIT_SCRIPT], cwd=REPO, env=env,
+        capture_output=True, text=True, timeout=300, check=True,
+    ).stdout.splitlines()
+    assert out[-1] == "left:"
+    pids = [int(pid) for pid in out[-2].removeprefix("workers:").split()]
+    assert len(pids) == 2
+    deadline = time.monotonic() + 10
+    while any(Path(f"/proc/{pid}").exists() for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(Path(f"/proc/{pid}").exists() for pid in pids)

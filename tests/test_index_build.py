@@ -2,13 +2,12 @@
 index it returns must be the serial reference build's, entry for entry,
 minus the columns that no hierarchy query reads."""
 import math
-import multiprocessing as mp
 import os
 
 import numpy as np
 import pytest
 
-from repro.core import fanout as fanout_mod
+from repro.core.fanout import usable_cpus
 from repro.core.gbp import gbp
 from repro.core.index import TauPushIndex, build_taupush_index
 from repro.core.taupush import membership_arrays
@@ -17,6 +16,7 @@ from repro.hierarchy import build_hierarchy
 from repro.pprlib.budget import OpBudget
 from repro.pprlib.dpr import dpr_vector_local, supernode_dpr
 from repro.pprviz import preprocess
+from tests.test_fanout import forbid_forks, worker_pids
 from tests.test_index import hierarchy_gbp_targets
 
 ALPHA = 0.15
@@ -82,35 +82,26 @@ def _assert_reference_minus_unread(idx, ref, kept, ops):
     assert idx.build_ops == ops
 
 
-def test_parallel_build_matches_serial(built, monkeypatch):
+def test_parallel_build_matches_serial(built, forks):
+    """One worker per usable CPU, forked once and gone when the build
+    returns."""
     g, h, ref, kept, ops = built
-    pools = []
-
-    class Pool(fanout_mod.ProcessPoolExecutor):
-        def __init__(self, workers, *args):
-            pools.append(workers)
-            super().__init__(workers, *args)
-
-    monkeypatch.setattr(fanout_mod, "ProcessPoolExecutor", Pool)
     _assert_reference_minus_unread(build_taupush_index(g, h, ALPHA), ref, kept, ops)
-    workers = min(len(os.sched_getaffinity(0)), len(kept))
-    assert pools == ([workers] if workers > 1 else [])
-    assert mp.active_children() == []
+    cpus = usable_cpus()
+    assert len(forks) == (cpus if cpus > 1 and len(kept) > 1 else 0)
+    assert worker_pids() == set()
 
 
 def test_single_cpu_builds_in_process(built, monkeypatch):
-    """One usable CPU: the plain serial loop, no pool."""
+    """One usable CPU: the plain serial loop, no fork."""
     g, h, ref, kept, ops = built
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a one-CPU build started a process pool")
-
-    monkeypatch.setattr(fanout_mod, "ProcessPoolExecutor", no_pool)
+    forbid_forks(monkeypatch)
     _assert_reference_minus_unread(build_taupush_index(g, h, ALPHA), ref, kept, ops)
 
 
-def test_preprocess_leaves_no_worker_running(twego):
+def test_preprocess_leaves_no_worker_running(twego, forks):
     model = preprocess(twego, 25)
     assert len(model.index.gbp_store) > 1
-    assert mp.active_children() == []
+    assert len(forks) == (usable_cpus() if usable_cpus() > 1 else 0)
+    assert worker_pids() == set()
