@@ -86,10 +86,12 @@ def spark() -> SparkSession:
 
 
 @pytest.fixture(autouse=True)
-def _close_query_workers():
-    """Close the query path's fan-out workers after each test, so a set
-    forked before one test's monkeypatch never serves that test, and the
-    session ends with no worker alive."""
+def _close_fanout_workers():
+    """Close the fan-out worker set after each test, so a set forked
+    before one test's monkeypatch never serves the next test, and the
+    session ends with no worker alive. A set forked by a module-scoped
+    fixture's index build (``preprocess``) is still alive in the first
+    test that uses that fixture, and its fanned queries reuse it."""
     yield
     from repro.core import fanout
 

@@ -8,8 +8,8 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.core.taupush import taupush_query
-from repro.core.taupush_spark import taupush_query_spark
 from repro.graphs.datasets import load_dataset
+from repro.graphs.spark_graph import SparkGraph
 from repro.hierarchy import build_hierarchy
 from repro.pprlib.dpr import dpr_vector_local
 
@@ -23,7 +23,7 @@ def run(spark: SparkSession, dataset: str = "FbEgo", k: int = 10):
     _, leaf_sets = h.query_children_leafsets(h.n_levels + 1, None)
     dpr = dpr_vector_local(g, ALPHA)
     edges = d.edge_df(spark).localCheckpoint(eager=True)
-    pdist_s, dppr_s = taupush_query_spark(spark, g, edges, leaf_sets, dpr, ALPHA)
+    pdist_s = taupush_query(SparkGraph(edges, g.n), leaf_sets, dpr, ALPHA).pdist
     res_local = taupush_query(g, leaf_sets, dpr, ALPHA)
     agree = np.abs(pdist_s - res_local.pdist).max()
     print(f"k={len(leaf_sets)} supernodes; |spark - local|_max = {agree:.2e}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.fanout import Workers
+from repro.core.fanout import fan_out
 from repro.core.gbp import gbp
 from repro.core.taupush import membership_arrays, taupush_params
 from repro.graphs.csr import CSRGraph
@@ -46,10 +46,6 @@ class TauPushIndex:
         for sids, vals in self.gbp_store.values():
             total += int(sids.nbytes + vals.nbytes)
         return total
-
-    @property
-    def dpr_nbytes(self) -> int:
-        return int(self.leaf_dpr.nbytes)
 
     def lookup(
         self, level: int, sup: int, kids: np.ndarray
@@ -107,12 +103,14 @@ def build_taupush_index(g: CSRGraph, h: Hierarchy, alpha: float) -> TauPushIndex
     rmax_b, so query-time lookups return exactly what a live GBP inside
     Algorithm 1 would.
 
-    The columns are independent, so a :class:`Workers` set computes them
-    in forked worker processes (one per usable CPU; each push stays
-    single-threaded) that live for this build only. Results are stored
-    in job order, so the entries, their order and ``build_ops`` equal a
-    serial build. ``build_ops`` counts the DPR power iteration's arcs and
-    every column's pushes.
+    The columns are independent, so ``fanout.fan_out`` computes them in
+    ``g``'s forked worker processes (one per usable CPU; each push stays
+    single-threaded), with ``(h, alpha)`` pickled to each worker as the
+    call's context. The set is forked here unless ``g`` already has one,
+    and it stays alive for the queries on ``g`` that fan out. Results are
+    stored in job order, so the entries, their order and ``build_ops``
+    equal a serial build. ``build_ops`` counts the DPR power iteration's
+    arcs and every column's pushes.
     """
     budget = OpBudget()
     leaf_dpr = dpr_vector_local(g, alpha, budget=budget)
@@ -124,8 +122,7 @@ def build_taupush_index(g: CSRGraph, h: Hierarchy, alpha: float) -> TauPushIndex
             supernode_dpr(leaf_dpr, h.leaf_labels[level]) > _sibling_tau(g, h, level)
         )
     ]
-    with Workers(_gbp_column, (g, h, alpha)) as workers:
-        columns = workers.map(jobs)
+    columns = fan_out(_gbp_column, g, jobs, (h, alpha))
     for job, (sibs, col, ops) in zip(jobs, columns):
         budget.charge(ops)
         idx.gbp_store[job] = (sibs, col)

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.fanout import graph_workers
+from repro.core.fanout import fan_out
 from repro.core.gbp import gbp
 from repro.core.gfp import gfp
 from repro.core.pdist import pdist_matrix
@@ -26,13 +26,14 @@ if TYPE_CHECKING:
     from repro.core.index import TauPushIndex
 
 # A query on a CSRGraph computes its GFP rows in its graph's forked
-# workers (``fanout.graph_workers``) when its forward-push work bound,
+# workers (``fanout.fan_out``) when its forward-push work bound,
 # sum_i d(V_i) / (alpha rmax) over the mean out-degrees d(V_i) of the
 # children, reaches this many arcs. Below it the fan-out does not pay.
-# Measured on a 4-CPU VM (k = 25): the workers are forked once per graph
-# (20-27 ms, on its first heavy query); after that a call costs
-# 0.5-0.8 ms for 2 jobs and 1.4-2.7 ms for a root's 18-19 jobs, whose
-# context pickles to 190 KB (Youtube analog) and 390 KB (Twitter's).
+# Measured on a 4-CPU VM (k = 25): a graph's workers are forked once
+# (20-27 ms), by its GBP index build when that fans out (so no query pays
+# it), else by its first heavy query. A warm call costs 0.5-0.8 ms for
+# 2 jobs and 1.4-2.7 ms for a root's 18-19 jobs, whose context pickles
+# to 190 KB (Youtube analog) and 390 KB (Twitter's).
 # Timing 90 Youtube random-path queries serially and fanned (best of 3),
 # fan-out saved a median 0.4 ms below a bound of 1.2e6 (serial median
 # 4.1 ms), 2.3 ms from 1.2e6 to 2e6 (8.6 ms, about perfbench's
@@ -184,7 +185,7 @@ def _push_and_refine(
     # this process or in forked workers
     context = (leaf_sets, member, sizes, rmax, alpha)
     if isinstance(g, CSRGraph) and _push_bound(g, leaf_sets, rmax, alpha) >= FANOUT_MIN_ARCS:
-        rows = graph_workers(_gfp_row, g).map(range(k), context)
+        rows = fan_out(_gfp_row, g, range(k), context)
     else:
         rows = (_gfp_row(g, *context, i) for i in range(k))
     dppr = np.zeros((k, k))

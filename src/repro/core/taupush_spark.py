@@ -12,6 +12,10 @@ This is the scalability path of the reproduction (the repro brief's
 tables use the single-thread kernels to mirror the paper's setup, because
 a Spark job launch per superstep would drown the sub-second
 response-time contrasts the tables exist to show (DESIGN.md §3).
+
+Callers run ``taupush_query(SparkGraph(edges, n), ...)`` directly. This
+wrapper stays only because the ``spark_fbego`` workload of
+``perfbench/run.py`` imports it.
 """
 from __future__ import annotations
 

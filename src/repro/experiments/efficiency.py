@@ -234,6 +234,6 @@ def index_size_bytes(variant: str, prep: PreparedGraph) -> int:
         "GFRA": prep.fora_index.nbytes,
         "FORA+": prep.foraplus_index.nbytes,
         "Tau-Push": prep.model.index.nbytes,
-        "GFP(taumax)": prep.model.index.dpr_nbytes,
+        "GFP(taumax)": prep.model.index.leaf_dpr.nbytes,
     }[variant]
     return base + extra

@@ -20,6 +20,11 @@ class OpBudgetExceeded(RuntimeError):
         self.ops = ops
         self.limit = limit
 
+    def __reduce__(self):
+        # rebuild from (ops, limit), so the error (and any note on it)
+        # survives the pipe from a fan-out worker
+        return type(self), (self.ops, self.limit), self.__dict__
+
 
 class OpBudget:
     """Mutable edge-operation counter with an optional hard limit."""

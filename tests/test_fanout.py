@@ -1,10 +1,12 @@
 """A heavy query computes its GFP rows in forked worker processes; its
 DPPR, PDist and ops must equal the in-process loop's. One worker set per
-graph is forked once and reused by every fanned query on that graph; none
-may be forked where the gate says it should not, and none may outlive
-``fanout.close()``, a failed call or the interpreter."""
+graph is forked once, by its index build or its first fanned query, and
+reused by every later fanned call on that graph; none may be forked where
+the gate says it should not, and none may outlive ``fanout.close()``, a
+failed call or the interpreter."""
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -17,7 +19,7 @@ import pytest
 
 from repro.core import fanout as fanout_mod
 from repro.core import taupush as taupush_mod
-from repro.core.fanout import Workers, usable_cpus
+from repro.core.fanout import fan_out, usable_cpus
 from repro.core.taupush import gfp_taumax_query, taupush_query
 from repro.pprlib.budget import OpBudget, OpBudgetExceeded
 from repro.pprviz import preprocess
@@ -79,6 +81,7 @@ def root_run(m):
 
 def test_fanout_matches_serial(model, forks, monkeypatch):
     cpus = usable_cpus()
+    built = worker_pids()  # the set of the module-scoped index build, if alive
     fanned_any = False
     for (q, served_by, k), run in query_runs(model):
         monkeypatch.setattr(taupush_mod, "FANOUT_MIN_ARCS", math.inf)
@@ -86,9 +89,13 @@ def test_fanout_matches_serial(model, forks, monkeypatch):
         monkeypatch.setattr(taupush_mod, "FANOUT_MIN_ARCS", 0)
         fanned = run()
         fanned_any |= k > 1
-        # one set, forked at the first fanned query and reused by the rest
-        assert len(forks) == (cpus if cpus > 1 and fanned_any else 0), (q, served_by)
-        assert worker_pids() == set(forks), (q, served_by)
+        # one set: the build's, else forked at the first fanned query;
+        # reused by the rest
+        if built:
+            assert not forks and worker_pids() == built, (q, served_by)
+        else:
+            assert len(forks) == (cpus if cpus > 1 and fanned_any else 0), (q, served_by)
+            assert worker_pids() == set(forks), (q, served_by)
         assert np.array_equal(fanned.dppr, serial.dppr), (q, served_by)
         assert np.array_equal(fanned.pdist, serial.pdist), (q, served_by)
         assert fanned.ops == serial.ops, (q, served_by)
@@ -112,6 +119,24 @@ def test_new_graph_reforks(fbego, twego, forks, monkeypatch):
     assert not first & worker_pids()
     for res, ref in zip(got, (want[0], want[0], want[1])):
         assert np.array_equal(res.dppr, ref.dppr) and res.ops == ref.ops
+    fanout_mod.close()
+    assert worker_pids() == set()
+
+
+def test_query_reuses_the_index_builds_set(twego, forks, monkeypatch):
+    """``preprocess`` forks the graph's one set for its index build; a
+    fanned query on that graph runs in it and forks nothing more."""
+    m = preprocess(twego, 25, alpha=ALPHA)
+    assert len(m.index.gbp_store) > 1
+    cpus = usable_cpus() if usable_cpus() > 1 else 0
+    built = worker_pids()
+    assert len(forks) == cpus and built == set(forks)
+    monkeypatch.setattr(taupush_mod, "FANOUT_MIN_ARCS", math.inf)
+    want = root_run(m)()
+    monkeypatch.setattr(taupush_mod, "FANOUT_MIN_ARCS", 0)
+    got = root_run(m)()
+    assert len(forks) == cpus and worker_pids() == built
+    assert np.array_equal(got.dppr, want.dppr) and got.ops == want.ops
     fanout_mod.close()
     assert worker_pids() == set()
 
@@ -156,11 +181,11 @@ def test_non_csr_graph_runs_in_process(fbego, monkeypatch):
 def test_fanned_query_honours_budget(fbego, forks, monkeypatch):
     """GFP(tau_max) charges only GFP rows: a limit one op short of the
     query's total raises at the last row; the total does not raise. The
-    raise leaves the graph's worker set alive for the next query."""
+    raise leaves the graph's worker set (the index build's, or the first
+    fanned query's) alive for the next query."""
     m = preprocess(fbego, 25, alpha=ALPHA)
     run = next(run for (_, kind, _), run in query_runs(m) if kind == "taumax")
     total = run().ops
-    forks.clear()  # the index build's
     monkeypatch.setattr(taupush_mod, "FANOUT_MIN_ARCS", 0)
     with pytest.raises(OpBudgetExceeded) as raised:
         run(budget=OpBudget(total - 1))
@@ -178,6 +203,8 @@ def _job(offset, scale, job):
         raise ValueError("bad job")
     if job == "die":
         os.kill(os.getpid(), signal.SIGKILL)
+    if job == "over budget":
+        OpBudget(4).charge(5)
     return (offset + job) * scale
 
 
@@ -188,36 +215,53 @@ def three_cpus(monkeypatch):
 
 
 def test_job_error_reraises_and_set_stays_usable(three_cpus, forks):
-    with Workers(_job, (10,)) as workers:
-        assert workers.map(range(6), (2,)) == [20, 22, 24, 26, 28, 30]
-        with pytest.raises(ValueError) as raised:
-            workers.map([0, 1, "raise", 3, 4, 5], (1,))
-        assert str(raised.value) == "bad job"
-        assert "in fan-out worker" in raised.value.__notes__[0]
-        assert workers.map(range(6), (3,)) == [30, 33, 36, 39, 42, 45]
-        assert len(forks) == 3 and worker_pids() == set(forks)
+    assert fan_out(_job, 10, range(6), (2,)) == [20, 22, 24, 26, 28, 30]
+    with pytest.raises(ValueError) as raised:
+        fan_out(_job, 10, [0, 1, "raise", 3, 4, 5], (1,))
+    assert str(raised.value) == "bad job"
+    assert "in fan-out worker" in raised.value.__notes__[0]
+    assert fan_out(_job, 10, range(6), (3,)) == [30, 33, 36, 39, 42, 45]
+    assert len(forks) == 3 and worker_pids() == set(forks)
+    fanout_mod.close()
+    assert worker_pids() == set()
+
+
+def test_budget_error_pickles():
+    err = pickle.loads(pickle.dumps(OpBudgetExceeded(5, 4)))
+    assert type(err) is OpBudgetExceeded
+    assert (err.ops, err.limit, str(err)) == (5, 4, "op budget exceeded: 5 > 4")
+
+
+def test_budget_error_crosses_the_pipe(three_cpus, forks):
+    """A worker job that exhausts its budget raises OpBudgetExceeded here,
+    with its ops and limit, not a RuntimeError that only names it."""
+    with pytest.raises(OpBudgetExceeded) as raised:
+        fan_out(_job, 10, [0, "over budget", 2], (1,))
+    assert (raised.value.ops, raised.value.limit) == (5, 4)
+    assert "in fan-out worker" in raised.value.__notes__[0]
+    assert len(forks) == 3 and worker_pids() == set(forks)
+    fanout_mod.close()
     assert worker_pids() == set()
 
 
 def test_killed_worker_raises_and_next_call_reforks(three_cpus, forks):
-    with Workers(_job, (10,)) as workers:
-        assert workers.map(range(6), (1,)) == [10, 11, 12, 13, 14, 15]
-        with pytest.raises(RuntimeError, match="killed by signal 9 mid-call"):
-            workers.map([0, 1, "die", 3, 4, 5], (1,))
-        assert worker_pids() == set()
-        assert workers.map(range(6), (1,)) == [10, 11, 12, 13, 14, 15]
-        assert len(forks) == 6 and worker_pids() == set(forks[3:])
+    assert fan_out(_job, 10, range(6), (1,)) == [10, 11, 12, 13, 14, 15]
+    with pytest.raises(RuntimeError, match="killed by signal 9 mid-call"):
+        fan_out(_job, 10, [0, 1, "die", 3, 4, 5], (1,))
+    assert worker_pids() == set()
+    assert fan_out(_job, 10, range(6), (1,)) == [10, 11, 12, 13, 14, 15]
+    assert len(forks) == 6 and worker_pids() == set(forks[3:])
+    fanout_mod.close()
     assert worker_pids() == set()
 
 
 def test_one_cpu_forks_nothing(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     forbid_forks(monkeypatch)
-    with Workers(_job, (10,)) as workers:
-        assert workers.map(range(6), (2,)) == [20, 22, 24, 26, 28, 30]
-        with pytest.raises(ValueError) as raised:
-            workers.map([0, "raise"], (1,))
-        assert str(raised.value) == "bad job"
+    assert fan_out(_job, 10, range(6), (2,)) == [20, 22, 24, 26, 28, 30]
+    with pytest.raises(ValueError) as raised:
+        fan_out(_job, 10, [0, "raise"], (1,))
+    assert str(raised.value) == "bad job"
 
 
 EXIT_SCRIPT = """

@@ -1,12 +1,13 @@
-"""The GBP index build fans its columns out over worker processes; the
-index it returns must be the serial reference build's, entry for entry,
-minus the columns that no hierarchy query reads."""
+"""The GBP index build fans its columns out over its graph's worker
+processes; the index it returns must be the serial reference build's,
+entry for entry, minus the columns that no hierarchy query reads."""
 import math
 import os
 
 import numpy as np
 import pytest
 
+from repro.core import fanout
 from repro.core.fanout import usable_cpus
 from repro.core.gbp import gbp
 from repro.core.index import TauPushIndex, build_taupush_index
@@ -83,12 +84,14 @@ def _assert_reference_minus_unread(idx, ref, kept, ops):
 
 
 def test_parallel_build_matches_serial(built, forks):
-    """One worker per usable CPU, forked once and gone when the build
-    returns."""
+    """One worker per usable CPU, forked once; the set stays alive for the
+    graph's queries until ``fanout.close()``."""
     g, h, ref, kept, ops = built
     _assert_reference_minus_unread(build_taupush_index(g, h, ALPHA), ref, kept, ops)
     cpus = usable_cpus()
     assert len(forks) == (cpus if cpus > 1 and len(kept) > 1 else 0)
+    assert worker_pids() == set(forks)
+    fanout.close()
     assert worker_pids() == set()
 
 
@@ -100,8 +103,13 @@ def test_single_cpu_builds_in_process(built, monkeypatch):
     _assert_reference_minus_unread(build_taupush_index(g, h, ALPHA), ref, kept, ops)
 
 
-def test_preprocess_leaves_no_worker_running(twego, forks):
+def test_preprocess_workers_live_until_close(twego, forks):
+    """A second build on the same graph reuses the first one's set."""
     model = preprocess(twego, 25)
     assert len(model.index.gbp_store) > 1
     assert len(forks) == (usable_cpus() if usable_cpus() > 1 else 0)
+    assert worker_pids() == set(forks)
+    preprocess(twego, 25)
+    assert worker_pids() == set(forks)
+    fanout.close()
     assert worker_pids() == set()
