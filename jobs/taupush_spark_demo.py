@@ -10,10 +10,9 @@ from pyspark.sql import SparkSession
 from repro.core.taupush import taupush_query
 from repro.graphs.datasets import load_dataset
 from repro.graphs.spark_graph import SparkGraph
-from repro.hierarchy import build_hierarchy
+from repro.hierarchy.supergraph import build_hierarchy
 from repro.pprlib.dpr import dpr_vector_local
-
-ALPHA = 0.15
+from repro.pprviz import ALPHA
 
 
 def run(spark: SparkSession, dataset: str = "FbEgo", k: int = 10):

@@ -1,13 +1,2 @@
 """The paper's primary contribution: PDist (Def. 3.1, Eq. 2) and the
 Tau-Push estimation algorithm (Algorithms 1-3) with its ablations."""
-from repro.core.pdist import pdist_from_dppr, pdist_matrix, level_dppr_exact
-from repro.core.taupush import taupush_query
-from repro.core.index import TauPushIndex
-
-__all__ = [
-    "pdist_from_dppr",
-    "pdist_matrix",
-    "level_dppr_exact",
-    "taupush_query",
-    "TauPushIndex",
-]

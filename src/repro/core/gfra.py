@@ -14,7 +14,12 @@ import numpy as np
 
 from repro.core.gfp import gfp
 from repro.core.pdist import pdist_matrix
-from repro.core.taupush import TauPushResult, eps_delta, membership_arrays
+from repro.core.taupush import (
+    TauPushResult,
+    eps_delta,
+    leaf_set_means,
+    membership_arrays,
+)
 from repro.graphs.csr import CSRGraph
 from repro.pprlib.budget import OpBudget
 from repro.pprlib.fora import WalkIndex, fora_omega_W, residue_walks
@@ -36,7 +41,7 @@ def gfra_query(
     budget = budget or OpBudget()
     W = fora_omega_W(eps, delta, g.n)
     gamma = max(1, min(len(fs) for fs in leaf_sets)) if k else 1
-    avg_deg_sum = sum(g.out_deg[fs].mean() for fs in leaf_sets if len(fs))
+    avg_deg_sum = sum(leaf_set_means(g.out_deg, leaf_sets))
     rmax = math.sqrt(max(avg_deg_sum, 1e-12) * gamma / (g.m * W))
     member, sizes = membership_arrays(g.n, leaf_sets)
     dppr = np.zeros((k, k))

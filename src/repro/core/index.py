@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.fanout import fan_out
 from repro.core.gbp import gbp
-from repro.core.taupush import membership_arrays, taupush_params
+from repro.core.taupush import membership_arrays, query_tau, taupush_params
 from repro.graphs.csr import CSRGraph
 from repro.hierarchy.supergraph import Hierarchy
 from repro.pprlib.budget import OpBudget
@@ -70,14 +70,14 @@ def _siblings(h: Hierarchy, level: int, sup: int) -> np.ndarray:
 
 
 def _sibling_tau(g: CSRGraph, h: Hierarchy, level: int) -> np.ndarray | float:
-    """Per level-``level`` supernode, the tau = 1/sqrt(|S| n) that
-    ``taupush_params`` derives for the query over its siblings."""
+    """Per level-``level`` supernode, the :func:`query_tau` of the query
+    over its siblings."""
     if level == h.n_levels:
         n_sibs = h.n_supernodes(level)
     else:
         up = h.parent_labels(level)
         n_sibs = np.bincount(up)[up]
-    return 1.0 / np.sqrt(n_sibs * g.n)
+    return query_tau(n_sibs, g.n)
 
 
 def _gbp_column(g, h, alpha, job: tuple[int, int]):

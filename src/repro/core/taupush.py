@@ -20,7 +20,6 @@ from repro.core.gfp import gfp
 from repro.core.pdist import pdist_matrix
 from repro.graphs.csr import CSRGraph
 from repro.pprlib.budget import OpBudget
-from repro.pprlib.dpr import leaf_set_dpr
 
 if TYPE_CHECKING:
     from repro.core.index import TauPushIndex
@@ -70,6 +69,18 @@ def membership_arrays(
     return member, sizes
 
 
+def leaf_set_means(values: np.ndarray, leaf_sets: list[np.ndarray]) -> np.ndarray:
+    """Per child V_i, the mean of ``values`` over F(V_i); 0 for an empty set.
+    Over the leaf DPR it is tau_i (Eq. (4)), over out-degrees d(V_i)."""
+    return np.array([values[fs].mean() if len(fs) else 0.0 for fs in leaf_sets])
+
+
+def query_tau(n_children: int | np.ndarray, n: int) -> float | np.ndarray:
+    """tau = 1/sqrt(|S| n) of the query over ``n_children`` = |S| children
+    (Alg. 1 line 1); vectorised over an array of sibling counts."""
+    return 1.0 / np.sqrt(np.maximum(n_children, 1) * n)
+
+
 def eps_delta(k: int) -> tuple[float, float]:
     """(eps, delta) for a query over k supernodes: the paper's
     eps = 1 - 1/e and delta = 1/(10k)."""
@@ -84,7 +95,7 @@ def taupush_params(
 ) -> tuple[float, float, float]:
     """(tau, rmax, rmax_b) per Alg. 1 lines 1-2, 5 (Eqs. 5-6).
 
-    ``tau`` defaults to 1/sqrt(k n) with k = |S|, the rule the index build
+    ``tau`` defaults to :func:`query_tau`, the rule the index build
     shares; GFP(tau_max) passes max_j tau_j. When no child has an out-arc,
     every DPPR pi_d(s, .) = pi(s, .) d(s) from S is 0, so GBP has nothing
     to refine and rmax_b is infinite (no push).
@@ -93,11 +104,9 @@ def taupush_params(
         raise ValueError("Tau-Push needs at least one arc: Eq. (5) divides by m")
     eps, delta = eps_delta(len(leaf_sets))
     if tau is None:
-        tau = 1.0 / math.sqrt(max(1, len(leaf_sets)) * g.n)
+        tau = query_tau(len(leaf_sets), g.n)
     rmax = eps * delta / (g.m * tau)
-    max_avg_deg = max(
-        (g.out_deg[fs].mean() for fs in leaf_sets if len(fs)), default=0.0
-    )
+    max_avg_deg = max(leaf_set_means(g.out_deg, leaf_sets), default=0.0)
     rmax_b = eps * delta / max_avg_deg if max_avg_deg > 0 else math.inf
     return tau, rmax, rmax_b
 
@@ -120,7 +129,7 @@ def taupush_query(
     it stores one over all of them (every hierarchy query), and computed
     by a live GBP otherwise.
     """
-    taus = leaf_set_dpr(leaf_dpr, leaf_sets)
+    taus = leaf_set_means(leaf_dpr, leaf_sets)
     params = taupush_params(g, leaf_sets)
     return _push_and_refine(g, leaf_sets, taus, params, alpha, budget, index, children)
 
@@ -140,7 +149,7 @@ def gfp_taumax_query(
     the cost of a much smaller rmax (more pushes) when some child has a
     large DPR.
     """
-    taus = leaf_set_dpr(leaf_dpr, leaf_sets)
+    taus = leaf_set_means(leaf_dpr, leaf_sets)
     tau_max = float(taus.max()) if len(taus) else 1.0
     tau_max = max(tau_max, 1.0 / max(1, g.n))  # guard degenerate zero
     params = taupush_params(g, leaf_sets, tau=tau_max)
@@ -153,7 +162,7 @@ def _push_bound(
     """Forward-push work bound of a query's GFP rows, in arcs: each push
     from v moves at least alpha d(v) rmax of the d(V_i) seed mass into the
     estimate, so GFP from V_i touches at most d(V_i) / (alpha rmax) arcs."""
-    mass = sum(g.out_deg[fs].mean() for fs in leaf_sets if len(fs))
+    mass = sum(leaf_set_means(g.out_deg, leaf_sets))
     return mass / (alpha * rmax)
 
 

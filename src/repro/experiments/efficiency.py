@@ -33,9 +33,8 @@ from repro.pprlib.dpr import dpr_vector_local
 from repro.pprlib.fora import WalkIndex, fora_single_source
 from repro.pprlib.power_iteration import ppr_single_source_pi
 from repro.pprlib.resacc import resacc_single_source
-from repro.pprviz import PPRvizModel
+from repro.pprviz import ALPHA, PPRvizModel
 
-ALPHA = 0.15
 VARIANTS = ["PI", "FORA", "FORA+", "ResAcc", "Tau-Push", "GFRA", "GFP(taumax)"]
 # Default per-query operation budget ~ the paper's 1000 s cut-off.
 # Calibration: the heaviest legitimate Tau-Push query (the root query on
@@ -99,7 +98,7 @@ def _build(name: str, k: int, seed: int) -> PreparedGraph:
     t_forap = time.perf_counter() - t0
     return PreparedGraph(
         name=name,
-        model=PPRvizModel(g=g, k=k, alpha=ALPHA, hierarchy=h, index=tp_idx),
+        model=PPRvizModel(g=g, k=k, hierarchy=h, index=tp_idx),
         hierarchy_secs=t_h, taupush_index_secs=t_tp, dpr_secs=t_dpr,
         fora_index=fora_idx, fora_index_secs=t_fora,
         foraplus_index=forap_idx, foraplus_index_secs=t_forap,

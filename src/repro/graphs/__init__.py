@@ -1,13 +1,1 @@
 """Graph substrate: synthetic datasets, CSR kernels, Spark graph ops."""
-from repro.graphs.csr import CSRGraph
-from repro.graphs.generators import chung_lu_community, ego_graph, sbm
-from repro.graphs.datasets import DATASETS, load_dataset
-
-__all__ = [
-    "CSRGraph",
-    "ego_graph",
-    "sbm",
-    "chung_lu_community",
-    "DATASETS",
-    "load_dataset",
-]

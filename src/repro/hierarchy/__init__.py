@@ -1,5 +1,1 @@
 """Supergraph hierarchy substrate (paper §5 + Appendix A.1, Louvain+)."""
-from repro.hierarchy.louvain import louvain_plus_level, modularity
-from repro.hierarchy.supergraph import Hierarchy, build_hierarchy
-
-__all__ = ["louvain_plus_level", "modularity", "Hierarchy", "build_hierarchy"]

@@ -20,6 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# Most local-move passes over the nodes per level; a pass that moves no
+# node ends the loop sooner.
+MAX_PASSES = 10
+
 
 def modularity(labels: np.ndarray, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
     """Newman modularity Q of a partition of a weighted undirected graph.
@@ -48,7 +52,6 @@ def louvain_plus_level(
     k: int,
     *,
     seed: int = 0,
-    max_passes: int = 10,
 ) -> np.ndarray:
     """One Louvain+ coarsening level.
 
@@ -128,7 +131,7 @@ def louvain_plus_level(
         comm_size[tgt] += 1
 
     order = rng.permutation(n).tolist()
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         moved = 0
         for node in order:
             if comm_size[labels[node]] > 1 and not adj[node][0]:

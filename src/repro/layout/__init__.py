@@ -1,5 +1,2 @@
 """Position-matrix embedding (stress majorization) and the 11 competitor
 layout methods of §7.1."""
-from repro.layout.stress import stress_majorization
-
-__all__ = ["stress_majorization"]

@@ -1,16 +1,2 @@
 """PPR computation substrate: exact PPR, push kernels, and the paper's
 competitor methods (PI, FORA, FORA+, ResAcc) plus the DPR index vector."""
-from repro.pprlib.budget import OpBudget, OpBudgetExceeded
-from repro.pprlib.power_iteration import exact_ppr_matrix, ppr_single_source_pi
-from repro.pprlib.push import backward_push, forward_push
-from repro.pprlib.dpr import dpr_vector_local
-
-__all__ = [
-    "OpBudget",
-    "OpBudgetExceeded",
-    "exact_ppr_matrix",
-    "ppr_single_source_pi",
-    "forward_push",
-    "backward_push",
-    "dpr_vector_local",
-]

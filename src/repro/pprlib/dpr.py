@@ -15,14 +15,16 @@ mass vector with the arc list. Tests assert the two agree.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame
 
 from repro.graphs.csr import CSRGraph
-from repro.graphs.spark_graph import SparkGraph
 from repro.pprlib.budget import OpBudget
 from repro.pprlib.power_iteration import power_iteration
+
+if TYPE_CHECKING:
+    from pyspark.sql import DataFrame
 
 
 def dpr_vector_local(
@@ -48,6 +50,12 @@ def dpr_vector_spark(
     ``n_iter`` propagations, so its truncation error is at most
     (1 - alpha)^n_iter.
     """
+    # imported here so that the numpy engine, which imports this module for
+    # dpr_vector_local, never loads PySpark or pandas
+    import pandas as pd
+
+    from repro.graphs.spark_graph import SparkGraph
+
     dpr = dpr_vector_local(SparkGraph(edges, n), alpha, max_iter=n_iter)
     return edges.sparkSession.createDataFrame(
         pd.DataFrame({"node": np.arange(n), "dpr": dpr})
@@ -61,8 +69,3 @@ def supernode_dpr(leaf_dpr: np.ndarray, leaf_labels: np.ndarray) -> np.ndarray:
     np.add.at(sums, leaf_labels, leaf_dpr)
     counts = np.bincount(leaf_labels, minlength=n_sup).astype(np.float64)
     return sums / np.maximum(counts, 1.0)
-
-
-def leaf_set_dpr(leaf_dpr: np.ndarray, leaf_sets: list[np.ndarray]) -> np.ndarray:
-    """tau_i per query child = mean leaf DPR over F(V_i); 0 for an empty set."""
-    return np.array([leaf_dpr[fs].mean() if len(fs) else 0.0 for fs in leaf_sets])

@@ -12,6 +12,7 @@ PDist matrix (dense PPR) is embedded directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -24,6 +25,10 @@ from repro.layout.stress import stress_majorization
 from repro.pprlib.budget import OpBudget
 from repro.pprlib.power_iteration import exact_dppr_matrix
 
+# The PPR restart probability alpha of every query, index and harness
+# (DESIGN.md §4); no function takes it as an option.
+ALPHA = 0.15
+
 
 @dataclass
 class PPRvizModel:
@@ -31,9 +36,9 @@ class PPRvizModel:
 
     g: CSRGraph
     k: int
-    alpha: float
     hierarchy: Hierarchy
     index: TauPushIndex
+    alpha: ClassVar[float] = ALPHA
 
     def query(
         self,
@@ -64,22 +69,18 @@ class PPRvizModel:
         return (X, res) if return_result else X
 
 
-def preprocess(
-    g: CSRGraph, k: int, *, alpha: float = 0.15, seed: int = 0
-) -> PPRvizModel:
+def preprocess(g: CSRGraph, k: int, *, seed: int = 0) -> PPRvizModel:
     """PPRviz preprocessing: hierarchy + index (paper Fig. 7 left)."""
     h = build_hierarchy(g, k, seed=seed)
-    idx = build_taupush_index(g, h, alpha)
-    return PPRvizModel(g=g, k=k, alpha=alpha, hierarchy=h, index=idx)
+    idx = build_taupush_index(g, h, ALPHA)
+    return PPRvizModel(g=g, k=k, hierarchy=h, index=idx)
 
 
-def single_level_pdist(g: CSRGraph, *, alpha: float = 0.15) -> np.ndarray:
+def single_level_pdist(g: CSRGraph) -> np.ndarray:
     """Exact single-level PDist matrix (Def. 3.1) via dense PPR (n <= ~2K)."""
-    return pdist_matrix(exact_dppr_matrix(g, alpha), g.n)
+    return pdist_matrix(exact_dppr_matrix(g, ALPHA), g.n)
 
 
-def single_level_layout(
-    g: CSRGraph, *, alpha: float = 0.15, seed: int = 0
-) -> np.ndarray:
+def single_level_layout(g: CSRGraph, *, seed: int = 0) -> np.ndarray:
     """PPRviz single-level drawing: exact PDist + stress majorization."""
-    return stress_majorization(single_level_pdist(g, alpha=alpha), seed=seed)
+    return stress_majorization(single_level_pdist(g), seed=seed)

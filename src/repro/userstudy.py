@@ -27,8 +27,8 @@ from repro.layout.stress import stress_majorization
 from repro.metrics import all_metrics
 from repro.pprlib.dpr import dpr_vector_local
 from repro.pprlib.power_iteration import exact_dppr_matrix
+from repro.pprviz import ALPHA
 
-ALPHA = 0.15
 N_PARTICIPANTS = 30  # the paper's panel size
 NOISE = 0.05  # std of a rater's observation noise
 

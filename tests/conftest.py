@@ -17,8 +17,8 @@ from hypothesis import settings
 from repro.graphs.csr import CSRGraph
 from repro.graphs.datasets import load_dataset
 from repro.pprlib.power_iteration import exact_dppr_matrix, exact_ppr_matrix
+from repro.pprviz import ALPHA
 
-ALPHA = 0.15
 
 settings.register_profile(
     "repro", derandomize=True, database=None, deadline=None, max_examples=60

@@ -5,12 +5,11 @@ import pytest
 
 from repro.core.taupush import taupush_query
 from repro.graphs.datasets import load_dataset
-from repro.hierarchy import build_hierarchy
+from repro.hierarchy.supergraph import build_hierarchy
 from repro.pprlib.budget import OpBudget
 from repro.pprlib.dpr import dpr_vector_local
 from repro.pprlib.power_iteration import ppr_single_source_pi
-
-ALPHA = 0.15
+from repro.pprviz import ALPHA
 
 
 def _root_query_ops(name, k=25):

@@ -4,8 +4,7 @@ import pytest
 
 from repro.graphs.datasets import load_dataset
 from repro.pprlib.dpr import dpr_vector_local, supernode_dpr
-
-ALPHA = 0.15
+from repro.pprviz import ALPHA
 
 
 def test_dpr_sums_to_one(fbego):

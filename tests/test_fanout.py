@@ -22,10 +22,9 @@ from repro.core import taupush as taupush_mod
 from repro.core.fanout import fan_out, usable_cpus
 from repro.core.taupush import gfp_taumax_query, taupush_query
 from repro.pprlib.budget import OpBudget, OpBudgetExceeded
-from repro.pprviz import preprocess
+from repro.pprviz import ALPHA, preprocess
 from tests.test_taupush_contract import every_query
 
-ALPHA = 0.15
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -56,7 +55,7 @@ def forbid_forks(monkeypatch):
 ], ids=lambda p: f"{p[0]}-k{p[1]}")
 def model(request):
     name, k = request.param
-    return preprocess(request.getfixturevalue(name), k, alpha=ALPHA)
+    return preprocess(request.getfixturevalue(name), k)
 
 
 def query_runs(model):
@@ -106,7 +105,7 @@ def test_fanout_matches_serial(model, forks, monkeypatch):
 def test_new_graph_reforks(fbego, twego, forks, monkeypatch):
     """Later queries on one graph reuse its set; a query on another graph
     closes that set and forks its own."""
-    fb, tw = (root_run(preprocess(g, 25, alpha=ALPHA)) for g in (fbego, twego))
+    fb, tw = (root_run(preprocess(g, 25)) for g in (fbego, twego))
     want = fb(), tw()
     forks.clear()  # the index builds'
     monkeypatch.setattr(taupush_mod, "FANOUT_MIN_ARCS", 0)
@@ -126,7 +125,7 @@ def test_new_graph_reforks(fbego, twego, forks, monkeypatch):
 def test_query_reuses_the_index_builds_set(twego, forks, monkeypatch):
     """``preprocess`` forks the graph's one set for its index build; a
     fanned query on that graph runs in it and forks nothing more."""
-    m = preprocess(twego, 25, alpha=ALPHA)
+    m = preprocess(twego, 25)
     assert len(m.index.gbp_store) > 1
     cpus = usable_cpus() if usable_cpus() > 1 else 0
     built = worker_pids()
@@ -142,7 +141,7 @@ def test_query_reuses_the_index_builds_set(twego, forks, monkeypatch):
 
 
 def test_one_cpu_runs_in_process(fbego, monkeypatch):
-    run = root_run(preprocess(fbego, 25, alpha=ALPHA))
+    run = root_run(preprocess(fbego, 25))
     want = run()
     monkeypatch.setattr(taupush_mod, "FANOUT_MIN_ARCS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -154,7 +153,7 @@ def test_one_cpu_runs_in_process(fbego, monkeypatch):
 def test_below_gate_runs_in_process(fbego, monkeypatch):
     """The real gate: no FbEgo query reaches FANOUT_MIN_ARCS (the largest
     bound, a GFP(tau_max) one, is 4.9e6)."""
-    m = preprocess(fbego, 25, alpha=ALPHA)
+    m = preprocess(fbego, 25)
     forbid_forks(monkeypatch)
     for _, run in query_runs(m):
         run()
@@ -169,7 +168,7 @@ class DuckGraph:
 
 
 def test_non_csr_graph_runs_in_process(fbego, monkeypatch):
-    m = preprocess(fbego, 25, alpha=ALPHA)
+    m = preprocess(fbego, 25)
     _, leaf_sets = m.hierarchy.query_children_leafsets(m.hierarchy.n_levels + 1, None)
     want = taupush_query(fbego, leaf_sets, m.index.leaf_dpr, ALPHA)
     monkeypatch.setattr(taupush_mod, "FANOUT_MIN_ARCS", 0)
@@ -183,7 +182,7 @@ def test_fanned_query_honours_budget(fbego, forks, monkeypatch):
     query's total raises at the last row; the total does not raise. The
     raise leaves the graph's worker set (the index build's, or the first
     fanned query's) alive for the next query."""
-    m = preprocess(fbego, 25, alpha=ALPHA)
+    m = preprocess(fbego, 25)
     run = next(run for (_, kind, _), run in query_runs(m) if kind == "taumax")
     total = run().ops
     monkeypatch.setattr(taupush_mod, "FANOUT_MIN_ARCS", 0)

@@ -7,8 +7,8 @@ import pytest
 from repro.pprlib.budget import OpBudget, OpBudgetExceeded
 from repro.pprlib.fora import WalkIndex, fora_omega_W, fora_single_source
 from repro.pprlib.resacc import resacc_single_source
+from repro.pprviz import ALPHA
 
-ALPHA = 0.15
 EPS = 1.0 - 1.0 / math.e
 
 

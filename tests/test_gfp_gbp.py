@@ -10,8 +10,8 @@ from repro.core.pdist import level_dppr_exact
 from repro.core.taupush import membership_arrays, taupush_params
 from repro.pprlib.budget import OpBudget
 from repro.pprlib.dpr import dpr_vector_local
+from repro.pprviz import ALPHA
 
-ALPHA = 0.15
 EPS = 1.0 - 1.0 / math.e
 
 

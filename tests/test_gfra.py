@@ -7,12 +7,12 @@ import pytest
 from repro.core.gfra import gfra_query
 from repro.core.pdist import level_dppr_exact
 from repro.core.taupush import taupush_query
-from repro.hierarchy import build_hierarchy
+from repro.hierarchy.supergraph import build_hierarchy
 from repro.pprlib.budget import OpBudget, OpBudgetExceeded
 from repro.pprlib.dpr import dpr_vector_local
 from repro.pprlib.fora import WalkIndex
+from repro.pprviz import ALPHA
 
-ALPHA = 0.15
 EPS = 1.0 - 1.0 / math.e
 
 

@@ -4,8 +4,9 @@ import pytest
 
 from repro.graphs.csr import CSRGraph
 from repro.graphs.datasets import load_dataset
-from repro.hierarchy import build_hierarchy, supergraph
+from repro.hierarchy import supergraph
 from repro.hierarchy.louvain import louvain_plus_level
+from repro.hierarchy.supergraph import build_hierarchy
 
 
 @pytest.fixture(scope="module")

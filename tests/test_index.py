@@ -4,13 +4,16 @@ import pytest
 
 from repro.core.gbp import gbp
 from repro.core.index import build_taupush_index
-from repro.core.taupush import membership_arrays, taupush_params, taupush_query
+from repro.core.taupush import (
+    leaf_set_means,
+    membership_arrays,
+    taupush_params,
+    taupush_query,
+)
 from repro.graphs.datasets import load_dataset
-from repro.hierarchy import build_hierarchy
+from repro.hierarchy.supergraph import build_hierarchy
 from repro.pprlib.budget import OpBudget
-from repro.pprlib.dpr import leaf_set_dpr
-
-ALPHA = 0.15
+from repro.pprviz import ALPHA
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +43,7 @@ def hierarchy_gbp_targets(g, h, leaf_dpr):
     targets = set()
     for child_level, kids, leaf_sets in hierarchy_queries(h):
         tau, _, _ = taupush_params(g, leaf_sets)
-        hit = np.flatnonzero(leaf_set_dpr(leaf_dpr, leaf_sets) > tau)
+        hit = np.flatnonzero(leaf_set_means(leaf_dpr, leaf_sets) > tau)
         targets.update((child_level, int(kid)) for kid in kids[hit])
     return targets
 
@@ -82,13 +85,20 @@ def test_index_keys_are_query_targets(request, graph, k):
 
 
 def test_stored_columns_cover_siblings(yt):
-    """Each stored GBP column spans exactly the target's sibling set."""
+    """Each stored GBP column spans exactly the children of the query that
+    reads it, in that query's order, so ``lookup`` never permutes it."""
     g, h, idx = yt
-    for (level, sup), (sids, vals) in idx.gbp_store.items():
-        assert len(sids) == len(vals)
-        assert sup in sids.tolist()
-        if level == h.n_levels:
-            assert len(sids) == h.n_supernodes(level)
+    read = 0
+    for child_level, kids, _ in hierarchy_queries(h):
+        for kid in kids.tolist():
+            entry = idx.gbp_store.get((child_level, kid))
+            if entry is None:
+                continue
+            sids, vals = entry
+            np.testing.assert_array_equal(sids, kids)
+            assert len(vals) == len(kids)
+            read += 1
+    assert read == len(idx.gbp_store) > 0
 
 
 def test_lookup_api(yt):

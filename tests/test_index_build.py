@@ -13,14 +13,12 @@ from repro.core.gbp import gbp
 from repro.core.index import TauPushIndex, build_taupush_index
 from repro.core.taupush import membership_arrays
 from repro.graphs.datasets import load_dataset
-from repro.hierarchy import build_hierarchy
+from repro.hierarchy.supergraph import build_hierarchy
 from repro.pprlib.budget import OpBudget
 from repro.pprlib.dpr import dpr_vector_local, supernode_dpr
-from repro.pprviz import preprocess
+from repro.pprviz import ALPHA, preprocess
 from tests.test_fanout import forbid_forks, worker_pids
 from tests.test_index import hierarchy_gbp_targets
-
-ALPHA = 0.15
 
 
 def serial_reference(g, h, alpha, k):

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from repro.graphs import generators as gen
 from repro.graphs.csr import CSRGraph
 from repro.graphs.datasets import SMALL_GRAPHS, load_dataset
-from repro.hierarchy import build_hierarchy, supergraph
+from repro.hierarchy import supergraph
 from repro.hierarchy.louvain import contract, louvain_plus_level, modularity
+from repro.hierarchy.supergraph import build_hierarchy
 from tests.louvain_reference import louvain_plus_level as reference_level
 
 

@@ -11,8 +11,6 @@ from repro.core.pdist import (
     pdist_matrix,
 )
 
-ALPHA = 0.15
-
 
 def test_bounds():
     n = 100

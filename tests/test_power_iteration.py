@@ -7,8 +7,7 @@ from repro.pprlib.power_iteration import (
     exact_dppr_matrix,
     ppr_single_source_pi,
 )
-
-ALPHA = 0.15
+from repro.pprviz import ALPHA
 
 
 def test_rows_sum_to_one(tiny, tiny_exact_ppr):

@@ -16,9 +16,9 @@ from repro.pprlib.budget import OpBudget
 from repro.pprlib.fora import WalkIndex, fora_single_source
 from repro.pprlib.power_iteration import ppr_single_source_pi
 from repro.pprlib.push import backward_push, forward_push
+from repro.pprviz import ALPHA
 from tests import ppr_reference as ref
 
-ALPHA = 0.15
 EPS = 1.0 - 1.0 / math.e
 
 

@@ -6,8 +6,7 @@ from repro.graphs import csr as csr_mod
 from repro.graphs.csr import CSRGraph
 from repro.pprlib.budget import OpBudget, OpBudgetExceeded
 from repro.pprlib.push import backward_push, forward_push, random_walks
-
-ALPHA = 0.15
+from repro.pprviz import ALPHA
 
 
 def test_forward_push_invariant(tiny, tiny_exact_ppr):

@@ -9,12 +9,11 @@ from repro.core.taupush_spark import taupush_query_spark
 from repro.graphs.csr import CSRGraph
 from repro.graphs.datasets import load_dataset
 from repro.graphs.spark_graph import SparkGraph
-from repro.hierarchy import build_hierarchy
+from repro.hierarchy.supergraph import build_hierarchy
 from repro.pprlib.budget import OpBudget
 from repro.pprlib.dpr import dpr_vector_local, dpr_vector_spark
 from repro.pprlib.push import backward_push, forward_push
-
-ALPHA = 0.15
+from repro.pprviz import ALPHA
 
 
 def spark_graph(spark, g: CSRGraph) -> SparkGraph:

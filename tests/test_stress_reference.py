@@ -5,14 +5,12 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.hierarchy import build_hierarchy
+from repro.hierarchy.supergraph import build_hierarchy
 from repro.layout.stress import stress_loss, stress_majorization
-from repro.pprviz import single_level_pdist
+from repro.pprviz import ALPHA, single_level_pdist
 from repro.core.taupush import taupush_query
 from repro.pprlib.dpr import dpr_vector_local
 from tests import stress_reference as ref
-
-ALPHA = 0.15
 
 
 @st.composite

@@ -9,11 +9,11 @@ from repro.core.pdist import level_dppr_exact, pdist_matrix
 from repro.core.taupush import gfp_taumax_query, taupush_params, taupush_query
 from repro.graphs.csr import CSRGraph
 from repro.graphs.datasets import load_dataset
-from repro.hierarchy import build_hierarchy
+from repro.hierarchy.supergraph import build_hierarchy
 from repro.pprlib.budget import OpBudget, OpBudgetExceeded
 from repro.pprlib.dpr import dpr_vector_local
+from repro.pprviz import ALPHA
 
-ALPHA = 0.15
 EPS = 1.0 - 1.0 / math.e
 
 

@@ -14,9 +14,8 @@ from repro.core.pdist import level_dppr_exact
 from repro.core.taupush import eps_delta, taupush_query
 from repro.graphs.datasets import load_dataset
 from repro.pprlib.power_iteration import exact_dppr_matrix
-from repro.pprviz import preprocess
+from repro.pprviz import ALPHA, preprocess
 
-ALPHA = 0.15
 SMALL_GRAPHS = ["TwEgo", "FbEgo", "Wiki-ii", "Physician", "FilmTrust", "SciNet"]
 
 
@@ -31,7 +30,7 @@ def every_query(h):
 def contract_violations(g, k):
     """Theorem 4.3 violations over every query, with and without the index:
     a list of (served_by, query, i, j)."""
-    model = preprocess(g, k, alpha=ALPHA)
+    model = preprocess(g, k)
     h = model.hierarchy
     exact_leaf = exact_dppr_matrix(g, ALPHA)
     out = []

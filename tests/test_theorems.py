@@ -6,9 +6,7 @@ import pytest
 
 from repro.graphs.datasets import load_dataset
 from repro.pprlib.power_iteration import exact_dppr_matrix
-from repro.pprviz import single_level_pdist
-
-ALPHA = 0.15
+from repro.pprviz import ALPHA, single_level_pdist
 
 
 @pytest.mark.parametrize("name", ["TwEgo", "FbEgo"])
@@ -20,7 +18,7 @@ def test_theorem_32_nd_bound(name):
     """
     d = load_dataset(name)
     g = d.csr()
-    Delta = single_level_pdist(g, alpha=ALPHA)
+    Delta = single_level_pdist(g)
     iu = np.triu_indices(g.n, k=1)
     nd = (1.0 / Delta[iu] ** 2).sum()
     bound = 0.215 * math.e * g.m + 0.0175 * g.n**2
@@ -30,25 +28,23 @@ def test_theorem_32_nd_bound(name):
 @pytest.mark.parametrize("name", ["TwEgo", "FbEgo"])
 def test_theorem_33_ulcv_bound(name):
     """ULCV <= (log(1/(2a(1-a))) - 1)/4 for alpha below the Thm 3.3 cap."""
-    alpha = 0.15
-    assert alpha <= 0.5 - math.sqrt(0.25 - 1.0 / (2 * math.e))
+    assert ALPHA <= 0.5 - math.sqrt(0.25 - 1.0 / (2 * math.e))
     d = load_dataset(name)
     g = d.csr()
-    Delta = single_level_pdist(g, alpha=alpha)
+    Delta = single_level_pdist(g)
     # edge lengths in the hypothetical perfect embedding are Delta values
     lens = Delta[d.u, d.v]
     ulcv = lens.std() / lens.mean()
-    bound = (math.log(1.0 / (2 * alpha * (1 - alpha))) - 1.0) / 4.0
+    bound = (math.log(1.0 / (2 * ALPHA * (1 - ALPHA))) - 1.0) / 4.0
     assert ulcv <= bound
 
 
 def test_edge_pdist_upper_bound_lemma():
     """Any edge's PDist <= 1 - log(2 a (1-a)) (the Thm 3.3 proof step)."""
-    alpha = 0.15
     d = load_dataset("FbEgo")
     g = d.csr()
-    Delta = single_level_pdist(g, alpha=alpha)
-    cap = 1.0 - math.log(2 * alpha * (1 - alpha))
+    Delta = single_level_pdist(g)
+    cap = 1.0 - math.log(2 * ALPHA * (1 - ALPHA))
     assert (Delta[d.u, d.v] <= cap + 1e-9).all()
 
 

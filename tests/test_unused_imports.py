@@ -3,9 +3,8 @@
 No linter ships with the toolchain, so this parses every ``.py`` file under
 ``src/``, ``tests/``, ``benchmarks/`` and ``jobs/`` with ``ast``. An imported
 name counts as read when it appears as a loaded name anywhere in the module,
-or inside a string annotation. ``perfbench/`` is frozen, ``__init__.py``
-files re-export, and ``from __future__`` imports are directives; all three
-are skipped.
+or inside a string annotation. ``perfbench/`` is frozen and ``from
+__future__`` imports are directives; both are skipped.
 """
 from __future__ import annotations
 
@@ -61,9 +60,7 @@ def unused_imports(path: Path) -> list[tuple[int, str]]:
 
 def _scanned_files():
     for top in SCANNED:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            if path.name != "__init__.py":
-                yield path
+        yield from sorted((ROOT / top).rglob("*.py"))
 
 
 def test_no_unused_imports():
