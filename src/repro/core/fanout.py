@@ -7,7 +7,9 @@ a time: forked on the graph's first fanned call, whether that is the
 index build or a query, so the workers inherit the graph instead of
 unpickling a copy each; reused by every later build or query on it; and
 closed when another graph asks, at :func:`close` and at interpreter
-exit. A worker also exits by itself when its pipe reaches EOF.
+exit. A worker also exits by itself when its pipe reaches EOF. Only a
+:class:`CSRGraph` is forked for: any other graph (a ``SparkGraph``,
+whose driver holds a live py4j gateway) runs its jobs in this process.
 
 Each call pickles its function (by reference) and its small per-call
 context (the query's leaf sets, or the build's hierarchy) to each worker
@@ -23,6 +25,8 @@ import signal
 import traceback
 from collections.abc import Callable, Iterable
 from multiprocessing.connection import Connection, Pipe, wait
+
+from repro.graphs.csr import CSRGraph
 
 _graph = None  # the graph the live set serves; holding it keeps its id from reuse
 _pids: dict[Connection, int] = {}  # the live set: parent end -> worker pid
@@ -71,16 +75,16 @@ def fan_out(fn: Callable, g, jobs: Iterable, context: tuple = ()) -> list:
 
     ``fn`` must be a module-level function (it is pickled by name), and
     ``g`` reaches the workers through the fork, unpickled, so it must not
-    change while they live. With fewer than two jobs or usable CPUs the
-    jobs run one after another in this process and nothing is forked.
-    Otherwise they run in ``g``'s worker set (one worker per usable CPU),
+    change while they live. With fewer than two jobs or usable CPUs, or
+    a ``g`` that is not a :class:`CSRGraph`, the jobs run one after
+    another in this process and nothing is forked. Otherwise they run in ``g``'s worker set (one worker per usable CPU),
     forked now unless it is alive. A job that raises in a worker
     re-raises here once the other workers are idle, and the set stays
     usable. A worker that dies mid-call raises ``RuntimeError``; the set
     is closed, and the next call forks anew.
     """
     jobs = list(jobs)
-    if len(jobs) < 2 or usable_cpus() < 2:
+    if len(jobs) < 2 or usable_cpus() < 2 or not isinstance(g, CSRGraph):
         return [fn(g, *context, job) for job in jobs]
     try:
         if _graph is not g:

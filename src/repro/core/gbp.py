@@ -37,4 +37,4 @@ def gbp(
     est, _, _ = backward_push(g, residue, rmax_b, alpha, budget=budget)
     if budget is not None:
         budget.charge(int(np.count_nonzero(est)))
-    return aggregate_to_supernodes(est, member_label, sizes, weight=g.out_deg)
+    return aggregate_to_supernodes(est * g.out_deg, member_label, sizes)

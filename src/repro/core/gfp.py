@@ -26,23 +26,17 @@ def aggregate_to_supernodes(
     est_nodes: np.ndarray,
     member_label: np.ndarray,
     sizes: np.ndarray,
-    *,
-    weight: np.ndarray | None = None,
 ) -> np.ndarray:
     """Average per-node estimates into the k supernodes of S.
 
     ``member_label[v]`` is the index of v's supernode within S, or -1 for
     leaves outside S (those estimates are discarded — the pruning Tau-Push
-    exists for). ``weight`` optionally scales each node's contribution
-    (GBP uses d(v)).
+    exists for).
     """
     inside = member_label >= 0
-    vals = est_nodes[inside]
-    if weight is not None:
-        vals = vals * weight[inside]
     k = len(sizes)
     out = np.zeros(k)
-    np.add.at(out, member_label[inside], vals)
+    np.add.at(out, member_label[inside], est_nodes[inside])
     return out / np.maximum(sizes, 1)
 
 

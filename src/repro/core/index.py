@@ -50,23 +50,12 @@ class TauPushIndex:
     def lookup(
         self, level: int, sup: int, kids: np.ndarray
     ) -> np.ndarray | None:
-        """The stored column toward (level, sup) in ``kids`` order, or None
-        when there is no entry or it misses one of ``kids``."""
+        """The stored column toward (level, sup), or None when there is no
+        entry or its sibling ids are not exactly ``kids``."""
         entry = self.gbp_store.get((level, sup))
-        if entry is None:
+        if entry is None or not np.array_equal(entry[0], kids):
             return None
-        sids, vals = entry
-        row = {sid: i for i, sid in enumerate(sids.tolist())}
-        rows = [row.get(int(kid)) for kid in kids]
-        return None if None in rows else vals[rows]
-
-
-def _siblings(h: Hierarchy, level: int, sup: int) -> np.ndarray:
-    """Supernode ids at ``level`` sharing ``sup``'s parent (root at top)."""
-    if level == h.n_levels:
-        return np.arange(h.n_supernodes(level))
-    parent = int(h.parent_labels(level)[sup])
-    return h.children(level + 1, parent)
+        return entry[1]
 
 
 def _sibling_tau(g: CSRGraph, h: Hierarchy, level: int) -> np.ndarray | float:
@@ -81,13 +70,14 @@ def _sibling_tau(g: CSRGraph, h: Hierarchy, level: int) -> np.ndarray | float:
 
 
 def _gbp_column(g, h, alpha, job: tuple[int, int]):
-    """The stored entry for ``job = (level, sup)`` on its own budget: its
-    sibling ids, the GBP column toward it over them (with the siblings'
-    Eq. (6) rmax_b) and the column's ops."""
+    """The stored entry for ``job = (level, sup)`` on its own budget: the
+    child ids of the query that contains it (its siblings, in that query's
+    order), the GBP column toward it over them (with their Eq. (6) rmax_b)
+    and the column's ops."""
     level, sup = job
     budget = OpBudget()
-    sibs = _siblings(h, level, sup)
-    leaf_sets = [h.leaf_set(level, int(s)) for s in sibs]
+    parent = None if level == h.n_levels else int(h.parent_labels(level)[sup])
+    sibs, leaf_sets = h.query_children_leafsets(level + 1, parent)
     member, sizes = membership_arrays(g.n, leaf_sets)
     _, _, rmax_b = taupush_params(g, leaf_sets)
     fs = h.leaf_set(level, sup)

@@ -117,83 +117,32 @@ def taupush_query(
     leaf_dpr: np.ndarray,
     alpha: float,
     *,
+    tau: float | None = None,
     budget: OpBudget | None = None,
     index: TauPushIndex | None = None,
     children: tuple[int, np.ndarray] | None = None,
 ) -> TauPushResult:
-    """Run Algorithm 1 for the children of S given by ``leaf_sets``.
+    """Run Algorithm 1 for the children of S given by ``leaf_sets``: GFP
+    from every child, then GBP for every child whose tau_j exceeds tau.
 
     ``leaf_dpr`` is the precomputed DPR vector (the O(n) part of the
-    index). ``children = (child_level, kid_ids)`` names the children in
-    the hierarchy; a GBP target's column is then read from ``index`` when
-    it stores one over all of them (every hierarchy query), and computed
-    by a live GBP otherwise.
+    index), and ``tau`` overrides :func:`query_tau` as in
+    :func:`taupush_params`. ``children = (child_level, kid_ids)`` names
+    the children in the hierarchy; a GBP target's column is then read
+    from ``index`` when it stores one over exactly these ids (every
+    hierarchy query), and computed by a live GBP otherwise.
     """
-    taus = leaf_set_means(leaf_dpr, leaf_sets)
-    params = taupush_params(g, leaf_sets)
-    return _push_and_refine(g, leaf_sets, taus, params, alpha, budget, index, children)
-
-
-def gfp_taumax_query(
-    g: CSRGraph,
-    leaf_sets: list[np.ndarray],
-    leaf_dpr: np.ndarray,
-    alpha: float,
-    *,
-    budget: OpBudget | None = None,
-) -> TauPushResult:
-    """The GFP(tau_max) ablation (§7.4): tau = max_j tau_j, GFP only.
-
-    With tau set to the largest child DPR, no child passes the GBP filter
-    and Lemma 4.1 makes *every* GFP estimate (eps, delta)-approximate — at
-    the cost of a much smaller rmax (more pushes) when some child has a
-    large DPR.
-    """
-    taus = leaf_set_means(leaf_dpr, leaf_sets)
-    tau_max = float(taus.max()) if len(taus) else 1.0
-    tau_max = max(tau_max, 1.0 / max(1, g.n))  # guard degenerate zero
-    params = taupush_params(g, leaf_sets, tau=tau_max)
-    return _push_and_refine(g, leaf_sets, taus, params, alpha, budget)
-
-
-def _push_bound(
-    g: CSRGraph, leaf_sets: list[np.ndarray], rmax: float, alpha: float
-) -> float:
-    """Forward-push work bound of a query's GFP rows, in arcs: each push
-    from v moves at least alpha d(v) rmax of the d(V_i) seed mass into the
-    estimate, so GFP from V_i touches at most d(V_i) / (alpha rmax) arcs."""
-    mass = sum(leaf_set_means(g.out_deg, leaf_sets))
-    return mass / (alpha * rmax)
-
-
-def _gfp_row(g, leaf_sets, member, sizes, rmax, alpha, i: int):
-    """GFP from child ``i`` on its own budget: (DPPR row, ops)."""
-    budget = OpBudget()
-    row, _ = gfp(g, leaf_sets[i], member, sizes, rmax, alpha, budget=budget)
-    return row, budget.ops
-
-
-def _push_and_refine(
-    g: CSRGraph,
-    leaf_sets: list[np.ndarray],
-    taus: np.ndarray,
-    params: tuple[float, float, float],
-    alpha: float,
-    budget: OpBudget | None,
-    index: TauPushIndex | None = None,
-    children: tuple[int, np.ndarray] | None = None,
-) -> TauPushResult:
-    """Alg. 1 lines 3-8: GFP from every child, GBP for children above tau."""
     k = len(leaf_sets)
     budget = budget or OpBudget()
-    tau, rmax, rmax_b = params
+    taus = leaf_set_means(leaf_dpr, leaf_sets)
+    tau, rmax, rmax_b = taupush_params(g, leaf_sets, tau=tau)
     member, sizes = membership_arrays(g.n, leaf_sets)
 
     # the k GFP rows are independent (Lemma A.2); charging their ops in row
     # order raises a limited budget after the same row whether they ran in
     # this process or in forked workers
     context = (leaf_sets, member, sizes, rmax, alpha)
-    if isinstance(g, CSRGraph) and _push_bound(g, leaf_sets, rmax, alpha) >= FANOUT_MIN_ARCS:
+    if _push_bound(g, leaf_sets, rmax, alpha) >= FANOUT_MIN_ARCS:
         rows = fan_out(_gfp_row, g, range(k), context)
     else:
         rows = (_gfp_row(g, *context, i) for i in range(k))
@@ -223,3 +172,42 @@ def _push_and_refine(
         rmax=rmax,
         rmax_b=rmax_b,
     )
+
+
+def gfp_taumax_query(
+    g: CSRGraph,
+    leaf_sets: list[np.ndarray],
+    leaf_dpr: np.ndarray,
+    alpha: float,
+    *,
+    budget: OpBudget | None = None,
+) -> TauPushResult:
+    """The GFP(tau_max) ablation (§7.4): Algorithm 1 at tau = max_j tau_j.
+
+    With tau set to the largest child DPR, no child passes the GBP filter
+    and Lemma 4.1 makes *every* GFP estimate (eps, delta)-approximate — at
+    the cost of a much smaller rmax (more pushes) when some child has a
+    large DPR.
+    """
+    taus = leaf_set_means(leaf_dpr, leaf_sets)
+    tau_max = float(taus.max()) if len(taus) else 1.0
+    tau_max = max(tau_max, 1.0 / max(1, g.n))  # guard degenerate zero
+    return taupush_query(g, leaf_sets, leaf_dpr, alpha, tau=tau_max, budget=budget)
+
+
+def _push_bound(
+    g: CSRGraph, leaf_sets: list[np.ndarray], rmax: float, alpha: float
+) -> float:
+    """Forward-push work bound of a query's GFP rows, in arcs: each push
+    from v moves at least alpha d(v) rmax of the d(V_i) seed mass into the
+    estimate, so GFP from V_i touches at most d(V_i) / (alpha rmax) arcs."""
+    mass = sum(leaf_set_means(g.out_deg, leaf_sets))
+    return mass / (alpha * rmax)
+
+
+def _gfp_row(g, leaf_sets, member, sizes, rmax, alpha, i: int):
+    """GFP from child ``i`` on its own budget: (DPPR row, ops)."""
+    budget = OpBudget()
+    row, _ = gfp(g, leaf_sets[i], member, sizes, rmax, alpha, budget=budget)
+    return row, budget.ops
+

@@ -20,7 +20,10 @@ import pytest
 from repro.core import fanout as fanout_mod
 from repro.core import taupush as taupush_mod
 from repro.core.fanout import fan_out, usable_cpus
+from repro.core.index import build_taupush_index
 from repro.core.taupush import gfp_taumax_query, taupush_query
+from repro.graphs.csr import CSRGraph
+from repro.hierarchy.supergraph import build_hierarchy
 from repro.pprlib.budget import OpBudget, OpBudgetExceeded
 from repro.pprviz import ALPHA, preprocess
 from tests.test_taupush_contract import every_query
@@ -177,6 +180,21 @@ def test_non_csr_graph_runs_in_process(fbego, monkeypatch):
     assert np.array_equal(got.dppr, want.dppr) and got.ops == want.ops
 
 
+def test_non_csr_graph_builds_in_process(twego, monkeypatch):
+    """The GBP index build on a graph that is not a CSRGraph forks
+    nothing and stores the CSR build's entries with its ``build_ops``."""
+    h = build_hierarchy(twego, 25, seed=0)
+    want = build_taupush_index(twego, h, ALPHA)
+    assert len(want.gbp_store) == 12
+    forbid_forks(monkeypatch)
+    got = build_taupush_index(DuckGraph(twego), h, ALPHA)
+    assert list(got.gbp_store) == list(want.gbp_store)
+    for key, (sids, vals) in want.gbp_store.items():
+        assert np.array_equal(got.gbp_store[key][0], sids)
+        assert np.array_equal(got.gbp_store[key][1], vals)
+    assert got.build_ops == want.build_ops
+
+
 def test_fanned_query_honours_budget(fbego, forks, monkeypatch):
     """GFP(tau_max) charges only GFP rows: a limit one op short of the
     query's total raises at the last row; the total does not raise. The
@@ -197,14 +215,18 @@ def test_fanned_query_honours_budget(fbego, forks, monkeypatch):
     assert worker_pids() == set()
 
 
-def _job(offset, scale, job):
+# a graph with 10 nodes and no arcs: ``fan_out`` forks only for a CSRGraph
+TEN_NODES = CSRGraph(10, np.empty(0), np.empty(0))
+
+
+def _job(g, scale, job):
     if job == "raise":
         raise ValueError("bad job")
     if job == "die":
         os.kill(os.getpid(), signal.SIGKILL)
     if job == "over budget":
         OpBudget(4).charge(5)
-    return (offset + job) * scale
+    return (g.n + job) * scale
 
 
 @pytest.fixture
@@ -214,12 +236,12 @@ def three_cpus(monkeypatch):
 
 
 def test_job_error_reraises_and_set_stays_usable(three_cpus, forks):
-    assert fan_out(_job, 10, range(6), (2,)) == [20, 22, 24, 26, 28, 30]
+    assert fan_out(_job, TEN_NODES, range(6), (2,)) == [20, 22, 24, 26, 28, 30]
     with pytest.raises(ValueError) as raised:
-        fan_out(_job, 10, [0, 1, "raise", 3, 4, 5], (1,))
+        fan_out(_job, TEN_NODES, [0, 1, "raise", 3, 4, 5], (1,))
     assert str(raised.value) == "bad job"
     assert "in fan-out worker" in raised.value.__notes__[0]
-    assert fan_out(_job, 10, range(6), (3,)) == [30, 33, 36, 39, 42, 45]
+    assert fan_out(_job, TEN_NODES, range(6), (3,)) == [30, 33, 36, 39, 42, 45]
     assert len(forks) == 3 and worker_pids() == set(forks)
     fanout_mod.close()
     assert worker_pids() == set()
@@ -235,7 +257,7 @@ def test_budget_error_crosses_the_pipe(three_cpus, forks):
     """A worker job that exhausts its budget raises OpBudgetExceeded here,
     with its ops and limit, not a RuntimeError that only names it."""
     with pytest.raises(OpBudgetExceeded) as raised:
-        fan_out(_job, 10, [0, "over budget", 2], (1,))
+        fan_out(_job, TEN_NODES, [0, "over budget", 2], (1,))
     assert (raised.value.ops, raised.value.limit) == (5, 4)
     assert "in fan-out worker" in raised.value.__notes__[0]
     assert len(forks) == 3 and worker_pids() == set(forks)
@@ -244,11 +266,11 @@ def test_budget_error_crosses_the_pipe(three_cpus, forks):
 
 
 def test_killed_worker_raises_and_next_call_reforks(three_cpus, forks):
-    assert fan_out(_job, 10, range(6), (1,)) == [10, 11, 12, 13, 14, 15]
+    assert fan_out(_job, TEN_NODES, range(6), (1,)) == [10, 11, 12, 13, 14, 15]
     with pytest.raises(RuntimeError, match="killed by signal 9 mid-call"):
-        fan_out(_job, 10, [0, 1, "die", 3, 4, 5], (1,))
+        fan_out(_job, TEN_NODES, [0, 1, "die", 3, 4, 5], (1,))
     assert worker_pids() == set()
-    assert fan_out(_job, 10, range(6), (1,)) == [10, 11, 12, 13, 14, 15]
+    assert fan_out(_job, TEN_NODES, range(6), (1,)) == [10, 11, 12, 13, 14, 15]
     assert len(forks) == 6 and worker_pids() == set(forks[3:])
     fanout_mod.close()
     assert worker_pids() == set()
@@ -257,9 +279,9 @@ def test_killed_worker_raises_and_next_call_reforks(three_cpus, forks):
 def test_one_cpu_forks_nothing(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     forbid_forks(monkeypatch)
-    assert fan_out(_job, 10, range(6), (2,)) == [20, 22, 24, 26, 28, 30]
+    assert fan_out(_job, TEN_NODES, range(6), (2,)) == [20, 22, 24, 26, 28, 30]
     with pytest.raises(ValueError) as raised:
-        fan_out(_job, 10, [0, "raise"], (1,))
+        fan_out(_job, TEN_NODES, [0, "raise"], (1,))
     assert str(raised.value) == "bad job"
 
 

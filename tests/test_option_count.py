@@ -10,7 +10,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MAX_DEFAULTED = 89
+MAX_DEFAULTED = 87
 
 
 def defaulted_parameters(path: Path) -> int:
